@@ -220,15 +220,6 @@ def permute(succs: list[int], h: int) -> list[int]:
     return out
 
 
-def permuted_successors(aut: BuchiAutomaton, s: int, order: SuccessorOrder | None) -> list[int]:
-    """Successors of s in the order's permutation (canonical when order is None)."""
-    succs = aut.edges[s]
-    if order is None:
-        return succs
-    key = order_key(order.worker_id, order.seed, int(order.kind))
-    return permute(succs, _mix(key ^ ((s + 1) * _GOLD)))
-
-
 def state_hash(key: int, s: int) -> int:
     """Per-state shuffle hash under a precomputed order key."""
     return _mix(key ^ ((s + 1) * _GOLD))

@@ -158,7 +158,7 @@ def _read_samples(path: str, alg: str | None, inp: str | None) -> list[float]:
                 continue
             out.append(float(row["wall_time_s"]))
         return out
-    return [float(line) for line in text.split() if line and not line.startswith("#")]
+    return [float(tok) for line in text.splitlines() for tok in line.split("#", 1)[0].split()]
 
 
 def _cmd_dist(args) -> int:

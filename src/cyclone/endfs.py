@@ -58,7 +58,7 @@ def endfs_pass(
 
     def expand(s: int, key) -> list[int]:
         lst = post[s]
-        if key is not None:
+        if key is not None and len(lst) > 1:
             lst = permute(lst, state_hash(key, s))
         return lst
 
@@ -190,6 +190,7 @@ def endfs(
                 stem_prefix=stem,
                 seen=repair_seen,
                 colors=repair_colors,
+                racing=n_workers > 1,
             )
             stats[w].repair_expansions += rw.blue_expansions + rw.red_expansions
             if rw.max_stack_depth > stats[w].max_stack_depth:

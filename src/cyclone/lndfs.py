@@ -69,7 +69,7 @@ def lndfs_pass(
 
     def expand(s: int, key) -> list[int]:
         lst = post[s]
-        if key is not None:
+        if key is not None and len(lst) > 1:
             lst = permute(lst, state_hash(key, s))
         if visited is not None and lst is post[s]:
             lst = list(lst)

@@ -11,6 +11,12 @@ number of states.
 One engine serves the plain sequential detector, each swarm worker, and
 the repair stage of the optimistic multi-core detector; callers vary the
 root, the successor permutation keys, and the color array they own.
+
+Two costs stay off the hot path.  A search yields the interpreter only
+when its caller says sibling workers race it; a lone worker still checks
+its stop flag at every step but never sleeps.  A permuted search hashes
+only states with at least two successors, because a list of zero or one
+has no order to permute.
 """
 
 from __future__ import annotations
@@ -25,8 +31,10 @@ WHITE, CYAN, BLUE, RED = 0, 1, 2, 3
 
 
 def _yield() -> None:
-    # a zero sleep is not enough: the interpreter hands its lock back to
-    # the running thread before sleeping waiters wake, starving siblings
+    # called every 64 steps by a racing search only.  A zero sleep is not
+    # enough: the interpreter hands its lock back to the running thread
+    # before sleeping waiters wake, starving siblings.  The sleep lasts
+    # several times what it asks for, so a lone worker must not pay it.
     _time_sleep(1e-5)
 
 # Sentinel return: the search unwound because the run was terminated.
@@ -71,6 +79,7 @@ def nested_search(
     stem_prefix: tuple[int, ...] = (),
     seen: bytearray | None = None,
     colors: bytearray | None = None,
+    racing: bool = False,
 ):
     """One worker-owned nested search.  Returns a Lasso, None, or STOPPED.
 
@@ -80,7 +89,8 @@ def nested_search(
     for the fresh-successor bias, stop a termination flag checked at every
     step, seen an optional bitset recording every state this call enters,
     stem_prefix a path from the true initial state to the root for lassos
-    reported out of rooted calls.
+    reported out of rooted calls.  racing says sibling workers run beside
+    this one, so a search with a stop flag yields to them now and then.
     """
     n = aut.num_states
     post = aut.edges
@@ -94,7 +104,7 @@ def nested_search(
 
     def expand(s: int) -> list[int]:
         lst = post[s]
-        if key_blue is not None:
+        if key_blue is not None and len(lst) > 1:
             lst = permute(lst, state_hash(key_blue, s))
         if visited is not None and lst is post[s]:
             lst = list(lst)  # _pick_fresh consumes the list
@@ -102,7 +112,7 @@ def nested_search(
 
     def expand_red(s: int) -> list[int]:
         lst = post[s]
-        if key_red is not None:
+        if key_red is not None and len(lst) > 1:
             lst = permute(lst, state_hash(key_red, s))
         if visited is not None and lst is post[s]:
             lst = list(lst)
@@ -125,10 +135,11 @@ def nested_search(
             if stop is not None:
                 if stop.stopped:
                     return STOPPED
-                tick += 1
-                if not tick & 63:
-                    # give racing workers a fair slice of the interpreter
-                    _yield()
+                if racing:
+                    tick += 1
+                    if not tick & 63:
+                        # give racing workers a fair slice of the interpreter
+                        _yield()
             f = frames[-1]
             pend = f[4]
             if pend is not None:

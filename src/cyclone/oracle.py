@@ -113,9 +113,9 @@ def validate_lasso(aut: BuchiAutomaton, lasso: Lasso) -> bool:
     """Total check of the lasso shape against the automaton.
 
     Valid iff the stem starts at init, consecutive states are edges, the
-    stem end meets the cycle start (same state, or one edge away), the
-    cycle is non-empty and closes, and accept_index marks an accepting
-    cycle state.
+    stem ends on the cycle's first state (stem[-1] == cycle[0]), the cycle
+    is non-empty and closes, and accept_index marks an accepting cycle
+    state.
     """
     stem, cycle = lasso.stem, lasso.cycle
     if not stem or not cycle:
@@ -127,7 +127,7 @@ def validate_lasso(aut: BuchiAutomaton, lasso: Lasso) -> bool:
     for s, t in zip(stem, stem[1:]):
         if t not in aut.edges[s]:
             return False
-    if stem[-1] != cycle[0] and cycle[0] not in aut.edges[stem[-1]]:
+    if stem[-1] != cycle[0]:
         return False
     for s, t in zip(cycle, cycle[1:]):
         if t not in aut.edges[s]:

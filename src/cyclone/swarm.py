@@ -77,6 +77,7 @@ def swarm_ndfs(
             key_red=order_key(w, seed, OrderKind.RED),
             visited=visited,
             stop=term,
+            racing=n_workers > 1,
         )
         if isinstance(res, Lasso):
             reporter.claim(w, res)

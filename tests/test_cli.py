@@ -115,6 +115,13 @@ def test_dist_reads_bench_csv_and_plain_files(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("N=2 expected=2.500000")
 
 
+def test_dist_skips_comments_in_plain_files(tmp_path, capsys):
+    raw = tmp_path / "times.txt"
+    raw.write_text("# wall times in seconds\n2.0\n4.0  # slow run\n")
+    assert cli.main(["dist", str(raw), "--n", "2"]) == 0
+    assert capsys.readouterr().out.startswith("N=2 expected=2.500000")
+
+
 def test_dist_writes_model_table_csv(tmp_path, capsys):
     raw = tmp_path / "times.txt"
     raw.write_text("2.0\n4.0\n")

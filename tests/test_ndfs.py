@@ -1,17 +1,25 @@
 """Sequential nested search against the SCC oracle."""
 
+import random
+
 from hypothesis import given
 import hypothesis.strategies as st
 
 from cyclone import (
     BuchiAutomaton,
+    ColorStore,
+    OrderKind,
     SuccessorOrder,
+    WorkerStats,
     gen_lasso,
     gen_random,
     has_accepting_cycle,
     ndfs,
+    order_key,
     validate_lasso,
 )
+from cyclone.endfs import endfs_pass
+from cyclone.lndfs import lndfs_pass
 from strategies import automata
 
 
@@ -85,3 +93,73 @@ def test_mid_size_random_graphs_agree_with_oracle():
 def test_stack_depth_tracked():
     v = ndfs(gen_lasso(3, 4, False))
     assert v.stats.workers[0].max_stack_depth == 8
+
+
+def _mixed_degree_graph(n: int, accept_prob: float, seed: int) -> BuchiAutomaton:
+    # out-degrees 0 to 4, so every expand meets lists with no order to
+    # permute (0 or 1 successors) and lists with one (2 or more)
+    rng = random.Random(seed)
+    edges, accepting = [], set()
+    for s in range(n):
+        edges.append(rng.sample(range(n), rng.choice((0, 1, 1, 2, 2, 3, 4))))
+        if rng.random() < accept_prob:
+            accepting.add(s)
+    return BuchiAutomaton(n, 0, frozenset(accepting), edges)
+
+
+# Lassos and (blue, red) counts under permuted orders, frozen so that a
+# change to how successors are hashed or permuted cannot move a search.
+_CYC0 = (53, 65, 5, 68, 77, 12, 78, 10, 7, 71, 24, 60, 39, 14, 28)
+_CYC2 = (65, 12, 75, 24, 43, 13, 51, 29, 7, 54, 46, 33, 23, 79, 50)
+_STEM6 = (0, 62, 43, 31, 60, 4, 24, 57, 56, 35, 50, 63, 14, 25, 38, 72, 41, 67, 36, 71)
+_NDFS_GOLDEN = {
+    # seed: (lasso, (blue, red) plain, (blue, red) allred)
+    0: (((0, 53), _CYC0, 12), (36, 7), (36, 3)),
+    2: (((0, 10, 65), _CYC2, 4), (38, 20), (38, 11)),
+    6: ((_STEM6, (71, 73, 1, 75, 47, 3, 52), 0), (37, 1), (37, 0)),
+    9: (None, (58, 3), (58, 0)),
+}
+_STEM6_SHARED = (0, 33, 41, 62, 43, 31, 60, 22, 56, 35, 20, 37, 7, 32, 63, 14, 67, 36, 71)
+_SHARED_GOLDEN = {
+    # seed: (lasso, (blue, red) lndfs_pass, (blue, red) endfs_pass), worker 1's keys
+    0: (((0, 49, 7, 71), (71, 24, 60, 39, 14, 28, 53, 65, 5, 68), 3), (37, 7), (37, 17)),
+    2: (((0, 10, 65, 12, 75), (75, 24, 43, 13, 51, 4, 47, 71), 2), (38, 7), (38, 19)),
+    6: ((_STEM6_SHARED, (71,), 0), (28, 0), (28, 1)),
+    9: (None, (58, 0), (58, 3)),
+}
+
+
+def _shape(lasso):
+    return None if lasso is None else (lasso.stem, lasso.cycle, lasso.accept_index)
+
+
+def test_permuted_ndfs_orders_are_frozen():
+    for seed, (lasso, plain, allred) in _NDFS_GOLDEN.items():
+        a = _mixed_degree_graph(80, 0.05, seed)
+        assert {min(len(succ), 3) for succ in a.edges} == {0, 1, 2, 3}
+        for flag, counts in ((False, plain), (True, allred)):
+            v = ndfs(a, SuccessorOrder(0, seed), allred=flag)
+            assert _shape(v.lasso) == lasso
+            assert (v.stats.blue_expansions, v.stats.red_expansions) == counts
+
+
+def test_permuted_shared_color_passes_are_frozen():
+    def no_repair(root, stem):
+        raise AssertionError("a lone optimistic pass never marks a state dangerous")
+
+    for seed, (lasso, lcounts, ecounts) in _SHARED_GOLDEN.items():
+        a = _mixed_degree_graph(80, 0.05, seed)
+        ws = WorkerStats()
+        res = lndfs_pass(
+            a,
+            ColorStore(a.num_states, a.accepting),
+            ws,
+            key_blue=order_key(1, seed, OrderKind.BLUE),
+            key_red=order_key(1, seed, OrderKind.RED),
+        )
+        assert _shape(res) == lasso
+        assert (ws.blue_expansions, ws.red_expansions) == lcounts
+        ws = WorkerStats()
+        res = endfs_pass(a, ColorStore(a.num_states, a.accepting), ws, 1, seed, no_repair)
+        assert _shape(res) == lasso
+        assert (ws.blue_expansions, ws.red_expansions) == ecounts

@@ -88,6 +88,7 @@ def test_validate_lasso_rejects_malformed():
     assert not validate_lasso(a, Lasso((), (2, 3, 4), 0))
     assert not validate_lasso(a, Lasso((1, 2), (2, 3, 4), 0))  # stem must start at init
     assert not validate_lasso(a, Lasso((0, 2), (2, 3, 4), 0))  # 0 -> 2 is not an edge
+    assert not validate_lasso(a, Lasso((0, 1), (2, 3, 4), 0))  # stem stops one edge short of the cycle
     assert not validate_lasso(a, Lasso((0, 1, 2), (2, 3), 0))  # 3 -> 2 does not close
     assert not validate_lasso(a, Lasso((0, 1, 2), (2, 3, 4), 1))  # 3 is not accepting
     assert not validate_lasso(a, Lasso((0, 1, 2), (2, 3, 4), 7))  # index out of range
