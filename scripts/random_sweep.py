@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from cyclone import PARALLEL, RunConfig, sweep, write_csv, write_sweep_csv
+from cyclone import ALGORITHM_TABLE, RunConfig, sweep, write_csv, write_sweep_csv
 
 
 def main() -> int:
@@ -42,7 +42,7 @@ def main() -> int:
     configs = []
     for inp in inputs:
         for alg in algs:
-            for w in counts if alg in PARALLEL else [1]:
+            for w in counts if ALGORITHM_TABLE[alg].parallel else [1]:
                 configs.append(RunConfig(alg, inp, workers=w,
                                          repeats=args.repeats))
 

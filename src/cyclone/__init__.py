@@ -17,9 +17,9 @@ from .automaton import (
     state_hash,
 )
 from .bench import (
+    ALGORITHM_TABLE,
     ALGORITHMS,
     CSV_HEADER,
-    PARALLEL,
     BenchRecord,
     InputNotFound,
     InvalidConfig,
@@ -41,27 +41,27 @@ from .colors import (
     TerminationFlag,
     UnderflowFault,
 )
-from .endfs import endfs
-from .lndfs import lndfs
-from .ndfs import ndfs, nested_search
 from .nmc import nmc_ndfs
+from .optimistic import endfs
 from .oracle import (
     enumerate_accepting_cycle,
     has_accepting_cycle,
-    scc_has_accepting_cycle,
     sccs_from_init,
     validate_lasso,
     witness_lasso,
 )
-from .owcty import MapResult, map_pass, owcty
+from .owcty_map import MapResult, map_pass, owcty
 from .results import Lasso, Verdict, WorkerStats, WorkStats
+from .search import ndfs
+from .shared_red import lndfs
 from .stats import EmpiricalDistribution, EmptyDistribution, ZeroTime
-from .swarm import run_workers, swarm_ndfs
+from .swarm import swarm_ndfs
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
+    "ALGORITHM_TABLE",
     "AwaitResult",
     "BenchRecord",
     "BuchiAutomaton",
@@ -77,7 +77,6 @@ __all__ = [
     "MalformedHeader",
     "MapResult",
     "OrderKind",
-    "PARALLEL",
     "ReporterSlot",
     "RunConfig",
     "SuccessorOrder",
@@ -101,7 +100,6 @@ __all__ = [
     "lndfs",
     "map_pass",
     "ndfs",
-    "nested_search",
     "nmc_ndfs",
     "order_key",
     "owcty",
@@ -109,8 +107,6 @@ __all__ = [
     "permute",
     "resolve_input",
     "run",
-    "run_workers",
-    "scc_has_accepting_cycle",
     "sccs_from_init",
     "state_hash",
     "swarm_ndfs",

@@ -17,28 +17,24 @@ _M64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
 
 
-class MalformedHeader(ValueError):
+class _LineError(ValueError):
+    """A parse error at one line of the text format."""
+
+    def __init__(self, line: int, msg: str):
+        super().__init__(f"line {line}: {msg}")
+        self.line = line
+
+
+class MalformedHeader(_LineError):
     """Header lines are missing, out of order, duplicated, or unparsable."""
 
-    def __init__(self, line: int, msg: str):
-        super().__init__(f"line {line}: {msg}")
-        self.line = line
 
-
-class DanglingStateId(ValueError):
+class DanglingStateId(_LineError):
     """A state id outside [0, num_states) appeared in init/accepting/trans."""
 
-    def __init__(self, line: int, msg: str):
-        super().__init__(f"line {line}: {msg}")
-        self.line = line
 
-
-class DuplicateEdge(ValueError):
+class DuplicateEdge(_LineError):
     """The same (src, dst) pair was declared twice."""
-
-    def __init__(self, line: int, msg: str):
-        super().__init__(f"line {line}: {msg}")
-        self.line = line
 
 
 class ZeroCycle(ValueError):

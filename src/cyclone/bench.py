@@ -13,25 +13,65 @@ from __future__ import annotations
 import csv
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
 
 from .automaton import BuchiAutomaton, SuccessorOrder, gen_lasso, gen_needle, gen_random, parse_automaton
 from .colors import ColorStore, TerminationFlag
-from .endfs import endfs
-from .lndfs import lndfs
-from .ndfs import ndfs
 from .nmc import nmc_ndfs
+from .optimistic import endfs
 from .oracle import has_accepting_cycle, validate_lasso
-from .owcty import owcty
+from .owcty_map import owcty
 from .results import Verdict
+from .search import ndfs
+from .shared_red import lndfs
 from .swarm import swarm_ndfs
 
-ALGORITHMS = ("ndfs", "swarm", "lndfs", "endfs", "nmc", "owcty")
 
-# algorithms that race several workers and honour a shared stop flag
-PARALLEL = ("swarm", "lndfs", "endfs", "nmc")
+@dataclass(frozen=True, slots=True)
+class Algorithm:
+    """One detector as the harness runs it, and the options it takes.
+
+    run(aut, workers=, seed=, heuristic=, allred=, store=, term=) runs it
+    once; store is a fresh ColorStore for shared algorithms and None
+    otherwise, term the flag the watchdog raises.  parallel algorithms
+    race several workers, shared ones keep a ColorStore whose colors can
+    be dumped, and a lenient one ignores a worker count or heuristic it
+    cannot use instead of rejecting them.
+    """
+
+    run: Callable[..., Verdict]
+    parallel: bool = False
+    heuristic: bool = False
+    allred: bool = False
+    shared: bool = False
+    lenient: bool = False
+
+
+# the lambdas look detectors up by module global at call time, so a test
+# can patch one
+ALGORITHM_TABLE: dict[str, Algorithm] = {
+    "ndfs": Algorithm(lambda aut, seed, allred, **_: ndfs(aut, SuccessorOrder(0, seed), allred=allred), allred=True),
+    "swarm": Algorithm(
+        lambda aut, workers, seed, heuristic, term, **_: swarm_ndfs(aut, workers, seed, heuristic, term=term),
+        parallel=True, heuristic=True,
+    ),
+    "lndfs": Algorithm(
+        lambda aut, workers, seed, heuristic, store, **_: lndfs(aut, workers, seed, heuristic, store=store),
+        parallel=True, heuristic=True, shared=True,
+    ),
+    "endfs": Algorithm(
+        lambda aut, workers, seed, store, **_: endfs(aut, workers, seed, store=store), parallel=True, shared=True
+    ),
+    "nmc": Algorithm(
+        lambda aut, workers, seed, store, **_: nmc_ndfs(aut, workers, seed, store=store), parallel=True, shared=True
+    ),
+    "owcty": Algorithm(lambda aut, **_: owcty(aut), lenient=True),
+}
+
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 CSV_HEADER = (
     "input,alg,workers,seed,repeat,verdict,wall_time_s,blue_exp,red_exp,"
@@ -68,22 +108,20 @@ class RunConfig:
     allred: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
+        alg = _algorithm(self.algorithm)
         if self.workers < 1:
             raise InvalidConfig(f"workers must be >= 1, got {self.workers}")
         if self.repeats < 1:
             raise InvalidConfig(f"repeats must be >= 1, got {self.repeats}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        # the comparator ignores workers and the heuristic outright
-        if self.algorithm != "owcty":
-            if self.workers > 1 and self.algorithm not in PARALLEL:
+        if not alg.lenient:
+            if self.workers > 1 and not alg.parallel:
                 raise InvalidConfig(f"{self.algorithm} is sequential, workers must be 1")
-            if self.heuristic and self.algorithm not in ("swarm", "lndfs"):
+            if self.heuristic and not alg.heuristic:
                 raise InvalidConfig(f"heuristic ordering not supported by {self.algorithm}")
-        if self.allred and self.algorithm != "ndfs":
-            raise InvalidConfig("allred is a flag of the sequential detector only")
+        if self.allred and not alg.allred:
+            raise InvalidConfig(f"allred is not a flag of {self.algorithm}")
 
 
 @dataclass(slots=True)
@@ -113,6 +151,14 @@ class BenchRecord:
             self.red_exp, self.repair_exp, self.dangerous_count, self.waits,
             self.helper_joins, self.owcty_rounds, self.map_hits,
         ]
+
+
+def _algorithm(name: str) -> Algorithm:
+    """The table row of an algorithm name; InvalidConfig for an unknown one."""
+    try:
+        return ALGORITHM_TABLE[name]
+    except KeyError:
+        raise InvalidConfig(f"unknown algorithm {name!r}") from None
 
 
 def resolve_input(spec: str) -> BuchiAutomaton:
@@ -169,27 +215,15 @@ def execute(
     """
     if timeout is None:
         timeout = watchdog_secs()
-
-    term = None
-    if algorithm not in ("lndfs", "endfs", "nmc"):
+    alg = _algorithm(algorithm)
+    if not alg.shared:
         store = None
     elif store is None:
         store = ColorStore(aut.num_states, aut.accepting)
-    if algorithm == "swarm":
-        term = TerminationFlag()
-        job = lambda: swarm_ndfs(aut, workers, seed, heuristic, term=term)
-    elif algorithm == "lndfs":
-        job = lambda: lndfs(aut, workers, seed, heuristic, store=store)
-    elif algorithm == "endfs":
-        job = lambda: endfs(aut, workers, seed, store=store)
-    elif algorithm == "nmc":
-        job = lambda: nmc_ndfs(aut, workers, seed, store=store)
-    elif algorithm == "ndfs":
-        job = lambda: ndfs(aut, SuccessorOrder(0, seed), allred=allred)
-    elif algorithm == "owcty":
-        job = lambda: owcty(aut)
-    else:
-        raise InvalidConfig(f"unknown algorithm {algorithm!r}")
+    term = store.term if store is not None else TerminationFlag()
+    job = lambda: alg.run(
+        aut, workers=workers, seed=seed, heuristic=heuristic, allred=allred, store=store, term=term
+    )
 
     if timeout <= 0:
         return job()
@@ -208,10 +242,7 @@ def execute(
     if t.is_alive():
         # cooperative algorithms honour the stop flag; pure sequential
         # ones cannot be interrupted and their thread is abandoned
-        if term is not None:
-            term.set()
-        if store is not None:
-            store.term.set()
+        term.set()
         t.join(1.0)
         raise WatchdogTimeout(f"{algorithm} exceeded {timeout:.1f}s budget")
     if "error" in box:

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .automaton import DanglingStateId, DuplicateEdge, MalformedHeader, ZeroCycle
 from .bench import (
+    ALGORITHM_TABLE,
     ALGORITHMS,
-    PARALLEL,
     InputNotFound,
     InvalidConfig,
     RunConfig,
@@ -104,7 +104,7 @@ def _cmd_check(args) -> int:
     aut = resolve_input(args.input)
     store = None
     if args.dump_colors:
-        if args.alg not in ("lndfs", "endfs", "nmc"):
+        if not ALGORITHM_TABLE[args.alg].shared:
             raise InvalidConfig(f"{args.alg} has no shared color table to dump")
         store = ColorStore(aut.num_states, aut.accepting)
     v = execute(aut, cfg.algorithm, cfg.workers, cfg.seed, cfg.heuristic,
@@ -132,11 +132,12 @@ def _cmd_bench(args) -> int:
     configs = []
     for inp in args.inputs:
         for alg in algs:
-            counts = workers if alg in PARALLEL else [1]
+            spec = ALGORITHM_TABLE.get(alg)
+            counts = workers if spec is not None and spec.parallel else [1]
             for w in dict.fromkeys(counts):
                 configs.append(RunConfig(
                     alg, inp, workers=w, seed=args.seed, repeats=args.repeats,
-                    heuristic=args.heuristic and alg in ("swarm", "lndfs"),
+                    heuristic=args.heuristic and spec is not None and spec.heuristic,
                 ))
     records, rows = sweep(configs, oracle_check=args.oracle, timeout=args.timeout)
     write_csv(records, args.output)

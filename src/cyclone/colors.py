@@ -1,11 +1,11 @@
 """Shared per-state flags, accept counters, and run termination plumbing.
 
 Everything here is safe for unrestricted concurrent use by worker
-threads.  Global flags (red, blue, dangerous) are monotone: once set they
-stay set for the whole run, so readers may skip the lock; writers go
-through one mutex so set-and-report-previous is indivisible.  Under
-CPython's interpreter lock a write that happened before a flag was set is
-visible to any reader that observes the flag.
+threads.  Global flags (red, blue, dangerous, safe) are monotone: once
+set they stay set for the whole run, so readers may skip the lock;
+writers go through one mutex so set-and-report-previous is indivisible.
+Under CPython's interpreter lock a write that happened before a flag was
+set is visible to any reader that observes the flag.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from enum import Enum
 RED = 1
 BLUE = 2
 DANGEROUS = 4
+SAFE = 8  # red as proved by nmc's repairs, which must not trust optimistic red
 
 # Worker-local color values (one byte per state, owned by a single worker).
 WHITE, CYAN, LOCAL_BLUE, PINK = 0, 1, 2, 3
@@ -41,9 +42,6 @@ class TerminationFlag:
 
     def set(self):
         self.stopped = True
-
-    def is_set(self) -> bool:
-        return self.stopped
 
 
 class ReporterSlot:
@@ -133,12 +131,12 @@ class ColorStore:
             delay = min(delay * 2, 1e-3)
 
     def dump_csv(self) -> str:
-        """Post-mortem view: one 'state,red,blue,dangerous,count' row per state."""
-        lines = ["state,red,blue,dangerous,count"]
+        """Post-mortem view: one 'state,red,blue,dangerous,safe,count' row per state."""
+        lines = ["state,red,blue,dangerous,safe,count"]
         for s in range(self.num_states):
             f = self.flags[s]
             lines.append(
                 f"{s},{1 if f & RED else 0},{1 if f & BLUE else 0},"
-                f"{1 if f & DANGEROUS else 0},{self._counters.get(s, 0)}"
+                f"{1 if f & DANGEROUS else 0},{1 if f & SAFE else 0},{self._counters.get(s, 0)}"
             )
         return "\n".join(lines) + "\n"

@@ -1,38 +1,46 @@
-"""Optimistic multi-core search with swarmed repairs instead of sequential ones.
+"""nmc: endfs with swarmed repairs instead of sequential ones.
 
-Same skeleton as the shared-blue/shared-red detector, but a dangerous
-root opens a shared repair task: the finder roots a shared-red pass at
-it, any worker arriving at the same root merges in as a helper, and
-workers whose own pass already completed pick open tasks off the board
-until every pass and every repair is done.  Repairs share the global red
-flags, so concurrent repairs prune each other and re-joining a finished
-task costs one expansion.
+The main pass is the optimistic engine of endfs.  What this adds is how
+a dangerous root is repaired: it opens a shared repair task, and the
+finder roots an allred pass at it; any worker arriving at the same root
+merges in as a helper, and workers whose own pass already completed pick
+open tasks off the board until every pass and every repair is done.
+
+Repairs block on, and publish, their own SAFE bit under the counter
+protocol of lndfs.  They cannot use RED: the optimistic pass promotes a
+dangerous root to red before it is repaired, and a repair pruned at red
+states would clear it without looking.  SAFE is shared by all repairs,
+so concurrent repairs prune each other and re-joining a finished task
+costs nothing.
+
+Each worker still visits each state at most four times.  Its main pass
+enters a state at most once in blue and once in red.  A completed repair
+leaves every state it entered SAFE: its root is accepting, so either the
+root's red search covered everything the repair entered, or every state
+it entered came back safe already.  One worker's repairs run one after
+another and each blocks on SAFE, so together they too enter a state at
+most once in blue and once in red.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from time import perf_counter
 
-from .automaton import BuchiAutomaton, OrderKind, order_key
-from .colors import ColorStore, RED, ReporterSlot
-from .endfs import endfs_pass, _popcount
-from .lndfs import lndfs_pass
-from .ndfs import STOPPED
-from .results import Lasso, Verdict, WorkerStats, WorkStats
-from .swarm import run_workers
+from .automaton import BuchiAutomaton
+from .colors import BLUE, SAFE, ColorStore
+from .results import Verdict, WorkerStats
+from .search import STOPPED, nested_search, race, worker_keys
 
 
 class _RepairTask:
-    """One dangerous root under repair.  Closed once the root turns red."""
+    """One dangerous root under repair.  Closed once the root turns safe."""
 
-    __slots__ = ("root", "stem", "owner", "joiners")
+    __slots__ = ("root", "stem", "joiners")
 
-    def __init__(self, root: int, stem: tuple[int, ...], owner: int):
+    def __init__(self, root: int, stem: tuple[int, ...]):
         self.root = root
         self.stem = stem
-        self.owner = owner
         self.joiners = 0
 
 
@@ -42,89 +50,70 @@ def nmc_ndfs(
     seed: int = 0,
     store: ColorStore | None = None,
 ) -> Verdict:
-    """Optimistic detector whose repairs are shared-red passes with helpers."""
-    if n_workers < 1:
-        raise ValueError(f"need at least one worker, got {n_workers}")
+    """Optimistic detector whose repairs are shared allred passes with helpers."""
     if store is None:
         store = ColorStore(aut.num_states, aut.accepting)
-    reporter = ReporterSlot(store.term)
-    stats = [WorkerStats() for _ in range(n_workers)]
+    term = store.term
     repair_seen = bytearray(aut.num_states)
     tasks: dict[int, _RepairTask] = {}
     board = threading.Lock()
     mains_done = [0]
 
-    def participate(task: _RepairTask, w: int):
+    def participate(task: _RepairTask, ws: WorkerStats):
         with board:
             pid = task.joiners
             task.joiners += 1
-        pseed = seed ^ (task.root * 0x1000193)
         rw = WorkerStats()
-        res = lndfs_pass(
-            aut,
-            store,
-            rw,
-            root=task.root,
-            key_blue=order_key(pid, pseed, OrderKind.BLUE),
-            key_red=order_key(pid, pseed, OrderKind.RED),
-            stem_prefix=task.stem,
-            seen=repair_seen,
+        res = nested_search(
+            aut, rw, term, store=store, block=SAFE, allred=True, root=task.root,
+            keys=worker_keys(pid, seed ^ (task.root * 0x1000193)),
+            seen=repair_seen, stem=task.stem,
         )
-        me = stats[w]
-        me.repair_expansions += rw.blue_expansions + rw.red_expansions
-        me.waits += rw.waits
-        if rw.max_stack_depth > me.max_stack_depth:
-            me.max_stack_depth = rw.max_stack_depth
+        ws.repair_expansions += rw.blue_expansions + rw.red_expansions
+        ws.waits += rw.waits
+        if rw.max_stack_depth > ws.max_stack_depth:
+            ws.max_stack_depth = rw.max_stack_depth
         return res
 
-    def body(w: int):
+    def body(w, ws):
         def repair(root: int, stem: tuple[int, ...]):
             with board:
                 task = tasks.get(root)
                 owned = task is None
                 if owned:
-                    task = _RepairTask(root, stem, w)
-                    tasks[root] = task
+                    task = tasks[root] = _RepairTask(root, stem)
             if not owned:
-                stats[w].helper_joins += 1
-            return participate(task, w)
+                ws.helper_joins += 1
+            return participate(task, ws)
 
-        res = endfs_pass(aut, store, stats[w], w, seed, repair)
-        if isinstance(res, Lasso):
-            reporter.claim(w, res)
-            return
-        if res is STOPPED:
-            return
+        keys = (None, None) if w == 0 else worker_keys(w, seed)
+        res = nested_search(aut, ws, term, store=store, block=BLUE, keys=keys, repair=repair)
+        if res is not None:
+            return res
         with board:
             mains_done[0] += 1
         # own pass done: help with whatever repairs are still open
         flags = store.flags
-        while not store.term.stopped:
+        while not term.stopped:
             open_task = None
             with board:
                 for task in tasks.values():
-                    if not flags[task.root] & RED:
+                    if not flags[task.root] & SAFE:
                         open_task = task
                         break
                 settled = mains_done[0] == n_workers
             if open_task is not None:
-                stats[w].helper_joins += 1
-                res = participate(open_task, w)
-                if isinstance(res, Lasso):
-                    reporter.claim(w, res)
-                    return
-                if res is STOPPED:
-                    return
+                ws.helper_joins += 1
+                res = participate(open_task, ws)
+                if res is not None:
+                    return res
             elif settled:
-                return
+                return None
             else:
                 time.sleep(1e-4)
+        return STOPPED
 
-    t0 = perf_counter()
-    run_workers(n_workers, body, store.term)
-    work = WorkStats(stats, perf_counter() - t0)
-    work.extras["dangerous_count"] = sum(s.dangerous_marks for s in stats)
-    work.extras["repair_states"] = _popcount(repair_seen)
-    if reporter.worker is None:
-        return Verdict(None, work)
-    return Verdict(reporter.lasso, work, winner=reporter.worker)
+    v = race(n_workers, term, body)
+    v.stats.extras["dangerous_count"] = sum(s.dangerous_marks for s in v.stats.workers)
+    v.stats.extras["repair_states"] = sum(repair_seen)
+    return v

@@ -1,0 +1,62 @@
+"""endfs: the optimistic engine on shared blue and red, with sequential repairs.
+
+Workers share the blue (done) and red (safe) flags and keep only the
+stack colors to themselves, so the swarm traverses the state space
+roughly once instead of once per worker.  What this adds to the engine
+is the repair: a dangerous root is re-checked by a rooted sequential
+nested search over private arrays that persist across one worker's
+repairs, which caps any worker's total work at four visits per state.
+
+A single worker degenerates to the sequential algorithm: post order then
+guarantees every accepting state a red search meets is already red, so
+nothing is ever marked dangerous and the repair stage never runs.
+"""
+
+from __future__ import annotations
+
+from .automaton import BuchiAutomaton
+from .colors import BLUE, ColorStore
+from .results import Verdict, WorkerStats
+from .search import nested_search, race, worker_keys
+
+
+def endfs(
+    aut: BuchiAutomaton,
+    n_workers: int = 1,
+    seed: int = 0,
+    store: ColorStore | None = None,
+) -> Verdict:
+    """Shared-blue/shared-red optimistic detector with sequential repair.
+
+    Verdict extras carry dangerous_count (states ever marked dangerous)
+    and repair_states (distinct states the repair stage ever entered).
+    """
+    if store is None:
+        store = ColorStore(aut.num_states, aut.accepting)
+    n = aut.num_states
+    repair_seen = bytearray(n)
+
+    def body(w, ws):
+        # repair arrays persist across this worker's repairs: the whole
+        # repair stage costs it at most two visits per state
+        repair_colors, repair_flags = bytearray(n), bytearray(n)
+        repair_keys = worker_keys(w, seed ^ 0x52455041)  # a separate permutation family
+
+        def repair(root: int, stem: tuple[int, ...]):
+            rw = WorkerStats()
+            res = nested_search(
+                aut, rw, store.term, flags=repair_flags, root=root, colors=repair_colors,
+                keys=repair_keys, seen=repair_seen, stem=stem, racing=n_workers > 1,
+            )
+            ws.repair_expansions += rw.blue_expansions + rw.red_expansions
+            if rw.max_stack_depth > ws.max_stack_depth:
+                ws.max_stack_depth = rw.max_stack_depth
+            return res
+
+        keys = (None, None) if w == 0 else worker_keys(w, seed)
+        return nested_search(aut, ws, store.term, store=store, block=BLUE, keys=keys, repair=repair)
+
+    v = race(n_workers, store.term, body)
+    v.stats.extras["dangerous_count"] = sum(s.dangerous_marks for s in v.stats.workers)
+    v.stats.extras["repair_states"] = sum(repair_seen)
+    return v

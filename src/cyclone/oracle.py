@@ -84,11 +84,6 @@ def has_accepting_cycle(aut: BuchiAutomaton) -> bool:
     return _accepting_cycle_scc(aut) is not None
 
 
-def scc_has_accepting_cycle(aut: BuchiAutomaton) -> Lasso | None:
-    """The decision procedure proper: a validated witness lasso, or None."""
-    return witness_lasso(aut)
-
-
 def witness_lasso(aut: BuchiAutomaton) -> Lasso | None:
     """A concrete lasso counterexample, or None when the language is empty."""
     comp = _accepting_cycle_scc(aut)

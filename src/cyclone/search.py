@@ -1,0 +1,412 @@
+"""Nested depth-first search for accepting cycles: the engine every detector runs.
+
+The blue search colors states cyan on the stack and done once finished;
+an edge into a cyan state closes a cycle on the stack, reported at once
+when either endpoint is accepting.  Backtracking an accepting state runs
+a nested red search; an edge into a cyan state there is a cycle through
+the red root.  A call enters each state at most once in blue and once in
+red, so its expansions never exceed twice the number of states.
+
+Each call picks a flags array and the bit of it that stops the blue
+search: a private array (ndfs, swarm, the repairs of endfs), or the
+shared ColorStore blocking on RED (lndfs), on SAFE (the repairs of nmc)
+or on BLUE (endfs).  It also picks one of two red searches:
+
+- allred (LNDFS): a state whose successors all came back blocked is
+  blocked itself, and the red search publishes the blocking bit at
+  backtrack.  An accepting root counts the red searches rooted at it,
+  and the last one out waits for the rest before publishing, which
+  keeps a half-finished sibling search from being pruned into
+  unsoundness.
+- optimistic (ENDFS): blue backtrack publishes BLUE.  The red search
+  marks the accepting states it meets uncleared as DANGEROUS, promotes
+  its candidates to RED except dangerous ones, and hands a dangerous
+  root to the caller's repair.
+
+On a private array both reduce to the sequential algorithm: allred is
+the allred extension of ndfs and optimistic is plain ndfs.
+
+Two costs stay off the hot path.  A search yields the interpreter only
+when its caller says sibling workers race it; a lone worker still checks
+its stop flag at every step but never sleeps.  A permuted search hashes
+only states with at least two successors, because a list of zero or one
+has no order to permute.
+"""
+
+from __future__ import annotations
+
+import threading
+from time import perf_counter
+from time import sleep as _time_sleep
+
+from .automaton import BuchiAutomaton, OrderKind, SuccessorOrder, order_key, permute, state_hash
+from .colors import (
+    CYAN,
+    DANGEROUS,
+    LOCAL_BLUE,
+    PINK,
+    RED,
+    WHITE,
+    AwaitResult,
+    ColorStore,
+    ReporterSlot,
+    TerminationFlag,
+)
+from .results import Lasso, Verdict, WorkerStats, WorkStats
+
+# Sentinel return: the search unwound because the run was terminated.
+STOPPED = object()
+
+
+def _yield() -> None:
+    # called every 64 steps by a racing search only.  A zero sleep is not
+    # enough: the interpreter hands its lock back to the running thread
+    # before sleeping waiters wake, starving siblings.  The sleep lasts
+    # several times what it asks for, so a lone worker must not pay it.
+    _time_sleep(1e-5)
+
+
+def worker_keys(w: int, seed: int) -> tuple[int, int]:
+    """The (blue, red) permutation keys of worker w under seed."""
+    return order_key(w, seed, OrderKind.BLUE), order_key(w, seed, OrderKind.RED)
+
+
+def _pick_fresh(todo: list[int], visited: bytearray) -> int:
+    """Next successor under the fresh-successor bias, consuming it from todo.
+
+    Takes the first globally unvisited entry in permuted order, falling
+    back to the first remaining one.  Re-evaluated at every advance so the
+    bias sees discoveries made after the list was built.
+    """
+    if not todo:
+        return -1
+    j = 0
+    for k in range(len(todo)):
+        if not visited[todo[k]]:
+            j = k
+            break
+    return todo.pop(j)
+
+
+def _splice(stem_prefix, bpath, ti, cyc, amask) -> Lasso:
+    stem = tuple(bpath[: ti + 1])
+    if stem_prefix:
+        stem = tuple(stem_prefix[:-1]) + stem
+    ai = next(i for i, q in enumerate(cyc) if amask[q])
+    return Lasso(stem, tuple(cyc), ai)
+
+
+def nested_search(
+    aut: BuchiAutomaton,
+    ws: WorkerStats,
+    stop: TerminationFlag,
+    *,
+    store: ColorStore | None = None,
+    flags: bytearray | None = None,
+    block: int = RED,
+    allred: bool = False,
+    root: int | None = None,
+    colors: bytearray | None = None,
+    keys: tuple[int | None, int | None] = (None, None),
+    visited: bytearray | None = None,
+    seen: bytearray | None = None,
+    stem: tuple[int, ...] = (),
+    racing: bool = False,
+    repair=None,
+):
+    """One worker's nested search.  Returns a Lasso, None, or STOPPED.
+
+    With a store the search reads and publishes its shared flags;
+    without one it uses flags, a private array (fresh when None).  colors
+    and flags may come from an earlier call (the repairs of endfs reuse
+    them across roots); a root already entered or blocked returns None
+    without work.  block is the flag bit that stops the blue search, and
+    allred picks the counter-protected red search over the optimistic
+    one.  keys are the blue and red permutation keys (canonical order
+    when None).  visited is the shared discovery bitset for the
+    fresh-successor bias, seen an optional bitset recording every state
+    this call enters, stem a path from the initial state to the root for
+    lassos reported out of rooted calls.  racing says sibling workers run
+    beside this one, so the search yields to them now and then.
+    repair(root, stem) re-examines a dangerous red root of the optimistic
+    search and returns a Lasso, STOPPED, or None when the root is clean.
+    """
+    n = aut.num_states
+    post = aut.edges
+    amask = aut.accept_mask
+    shared = store is not None
+    if shared:
+        flags = store.flags
+        set_flag = store.set_flag
+    elif flags is None:
+        flags = bytearray(n)
+    if colors is None:
+        colors = bytearray(n)
+    # The optimistic red search marks what it entered in pink, apart from
+    # colors: a shared search may enter states this worker has not
+    # finished, and those must stay open to its blue search.  A private
+    # search marks them RED at once instead, since alone nothing it meets
+    # is dangerous and its promotion is certain.
+    pink, pink_bit = (bytearray(n), 1) if shared else (flags, RED)
+    if root is None:
+        root = aut.init
+    key_blue, key_red = keys
+    blue_exp = red_exp = waits = dangerous = 0
+    maxd = ws.max_stack_depth
+
+    def expand(s: int, key) -> list[int]:
+        lst = post[s]
+        if key is not None and len(lst) > 1:
+            lst = permute(lst, state_hash(key, s))
+        if visited is not None and lst is post[s]:
+            lst = list(lst)  # _pick_fresh consumes the list
+        return lst
+
+    try:
+        if colors[root] != WHITE or flags[root] & block:
+            return None  # already cleared
+        colors[root] = CYAN
+        blue_exp += 1
+        if visited is not None:
+            visited[root] = 1
+        if seen is not None:
+            seen[root] = 1
+        # frame: [state, todo, idx, every successor came back blocked]
+        frames = [[root, expand(root, key_blue), 0, True]]
+        maxd = max(maxd, 1)
+        tick = 0
+        while frames:
+            if stop.stopped:
+                return STOPPED
+            if racing:
+                tick += 1
+                if not tick & 63:
+                    # give racing workers a fair slice of the interpreter
+                    _yield()
+            f = frames[-1]
+            todo = f[1]
+            if visited is None:
+                i = f[2]
+                if i < len(todo):
+                    t = todo[i]
+                    f[2] = i + 1
+                else:
+                    t = -1
+            else:
+                t = _pick_fresh(todo, visited)
+            if t >= 0:
+                s = f[0]
+                c = colors[t]
+                if c == CYAN and (amask[s] or amask[t]):
+                    # early detection: the blue stack from t to s is a cycle
+                    bpath = [fr[0] for fr in frames]
+                    ti = bpath.index(t)
+                    return _splice(stem, bpath, ti, bpath[ti:], amask)
+                if c == WHITE and not flags[t] & block:
+                    colors[t] = CYAN
+                    blue_exp += 1
+                    if visited is not None:
+                        visited[t] = 1
+                    if seen is not None:
+                        seen[t] = 1
+                    frames.append([t, expand(t, key_blue), 0, True])
+                    if len(frames) > maxd:
+                        maxd = len(frames)
+                elif allred and not flags[t] & block:
+                    f[3] = False
+                continue
+
+            # successors exhausted: backtrack s
+            s = f[0]
+            colors[s] = LOCAL_BLUE
+            if allred:
+                if f[3]:  # every successor came back blocked
+                    if shared:
+                        set_flag(s, block)
+                    else:
+                        flags[s] |= block
+                elif amask[s]:
+                    # counter-protected red search, rooted at s
+                    if shared:
+                        store.counter_adjust(s, 1)
+                    colors[s] = PINK
+                    red_exp += 1
+                    rframes = [[s, expand(s, key_red), 0]]
+                    while rframes:
+                        if stop.stopped:
+                            return STOPPED
+                        rf = rframes[-1]
+                        rtodo = rf[1]
+                        if visited is None:
+                            i = rf[2]
+                            if i < len(rtodo):
+                                t = rtodo[i]
+                                rf[2] = i + 1
+                            else:
+                                t = -1
+                        else:
+                            t = _pick_fresh(rtodo, visited)
+                        if t < 0:
+                            rframes.pop()
+                            u = rf[0]
+                            if not shared:
+                                flags[u] |= block
+                                continue
+                            if amask[u] and store.counter_adjust(u, -1) != 0:
+                                waits += 1
+                                if store.await_zero(u, stop) is AwaitResult.TERMINATED:
+                                    return STOPPED
+                            set_flag(u, block)
+                            continue
+                        c = colors[t]
+                        if c == CYAN:
+                            # cycle: blue stack t..s, red stack s..current, edge back to t
+                            bpath = [fr[0] for fr in frames]
+                            rpath = [rr[0] for rr in rframes]
+                            ti = bpath.index(t)
+                            return _splice(stem, bpath, ti, bpath[ti:] + rpath[1:], amask)
+                        if c != PINK and not flags[t] & block:
+                            assert not amask[t], "red search reached an unprocessed accepting state"
+                            colors[t] = PINK
+                            red_exp += 1
+                            if seen is not None:
+                                seen[t] = 1
+                            rframes.append([t, expand(t, key_red), 0])
+                            d = len(frames) + len(rframes)
+                            if d > maxd:
+                                maxd = d
+                if len(frames) > 1 and not flags[s] & block:
+                    frames[-2][3] = False  # the parent's allred conjunction
+            else:
+                if shared:
+                    set_flag(s, block)
+                if amask[s]:
+                    # optimistic red search; candidates collected for promotion
+                    cand = [s] if shared else None
+                    pink[s] |= pink_bit
+                    red_exp += 1
+                    rframes = [[s, expand(s, key_red), 0]]
+                    while rframes:
+                        if stop.stopped:
+                            return STOPPED
+                        rf = rframes[-1]
+                        rtodo = rf[1]
+                        if visited is None:
+                            i = rf[2]
+                            if i < len(rtodo):
+                                t = rtodo[i]
+                                rf[2] = i + 1
+                            else:
+                                t = -1
+                        else:
+                            t = _pick_fresh(rtodo, visited)
+                        if t < 0:
+                            rframes.pop()
+                            continue
+                        if colors[t] == CYAN:
+                            bpath = [fr[0] for fr in frames]
+                            rpath = [rr[0] for rr in rframes]
+                            ti = bpath.index(t)
+                            return _splice(stem, bpath, ti, bpath[ti:] + rpath[1:], amask)
+                        if not flags[t] & RED:
+                            if amask[t]:
+                                # met an uncleared accepting state: poison it.
+                                # Alone, post order has cleared every one.
+                                assert shared, "red search reached an unprocessed accepting state"
+                                if not set_flag(t, DANGEROUS):
+                                    dangerous += 1
+                            if not pink[t] & pink_bit:
+                                pink[t] |= pink_bit
+                                if shared:
+                                    cand.append(t)
+                                red_exp += 1
+                                if seen is not None:
+                                    seen[t] = 1
+                                rframes.append([t, expand(t, key_red), 0])
+                                d = len(frames) + len(rframes)
+                                if d > maxd:
+                                    maxd = d
+                    if shared:
+                        for r in cand:
+                            if r == s or not flags[r] & DANGEROUS:
+                                set_flag(r, RED)
+                        if flags[s] & DANGEROUS:
+                            res = repair(s, tuple(fr[0] for fr in frames))
+                            if res is not None:
+                                return res
+            frames.pop()
+        return None
+    finally:
+        ws.blue_expansions += blue_exp
+        ws.red_expansions += red_exp
+        ws.waits += waits
+        ws.dangerous_marks += dangerous
+        if maxd > ws.max_stack_depth:
+            ws.max_stack_depth = maxd
+
+
+def run_workers(n_workers: int, body, term: TerminationFlag):
+    """Run body(w) on n_workers threads; re-raise the first worker error.
+
+    A single worker runs inline.  Any exception terminates the run before
+    propagating, so sibling workers unwind instead of running to
+    completion against a broken shared state.
+    """
+    if n_workers == 1:
+        body(0)
+        return
+    errors: list[BaseException] = []
+    go = threading.Event()
+
+    def wrapped(w: int):
+        go.wait()  # no head start for early-spawned workers
+        try:
+            body(w)
+        except BaseException as exc:  # noqa: BLE001 - reported to the caller
+            errors.append(exc)
+            term.set()
+
+    threads = [threading.Thread(target=wrapped, args=(w,), daemon=True) for w in range(n_workers)]
+    for th in threads:
+        th.start()
+    go.set()
+    for th in threads:
+        th.join()
+    if errors:
+        raise errors[0]
+
+
+def race(n_workers: int, term: TerminationFlag, body) -> Verdict:
+    """Race body(w, stats) on n_workers workers to the first lasso.
+
+    body returns a Lasso, None, or STOPPED.  The first Lasso claims the
+    verdict and raises term, so the other workers unwind; a no-cycle
+    verdict needs every worker to finish its pass.
+    """
+    if n_workers < 1:
+        raise ValueError(f"need at least one worker, got {n_workers}")
+    reporter = ReporterSlot(term)
+    stats = [WorkerStats() for _ in range(n_workers)]
+
+    def run(w: int):
+        res = body(w, stats[w])
+        if isinstance(res, Lasso):
+            reporter.claim(w, res)
+
+    t0 = perf_counter()
+    run_workers(n_workers, run, term)
+    return Verdict(reporter.lasso, WorkStats(stats, perf_counter() - t0), winner=reporter.worker)
+
+
+def ndfs(aut: BuchiAutomaton, order: SuccessorOrder | None = None, allred: bool = False) -> Verdict:
+    """Sequential accepting-cycle detector.
+
+    order picks the successor permutation (canonical order when None); its
+    kind field is ignored because the blue and red orders both derive from
+    the same worker and seed.  allred enables the extension that promotes
+    a state to red when every successor came back red, skipping provably
+    redundant red searches.
+    """
+    keys = (None, None) if order is None else worker_keys(order.worker_id, order.seed)
+    term = TerminationFlag()
+    return race(1, term, lambda w, ws: nested_search(aut, ws, term, allred=allred, keys=keys))

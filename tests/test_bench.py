@@ -119,7 +119,7 @@ def test_aggregate_wall_time_is_the_mean_of_repeats():
 def test_execute_every_algorithm_once():
     a = resolve_input("random:40:2.0:0.2:3")
     for alg in bench.ALGORITHMS:
-        v = execute(a, alg, workers=2 if alg in bench.PARALLEL else 1, timeout=0)
+        v = execute(a, alg, workers=2 if bench.ALGORITHM_TABLE[alg].parallel else 1, timeout=0)
         assert isinstance(v, Verdict)
 
 
@@ -127,7 +127,7 @@ def test_watchdog_fires_and_terminates_the_run(monkeypatch):
     stopped = []
 
     def sleeper(aut, n_workers=1, seed=0, heuristic=False, store=None):
-        while not store.term.is_set():
+        while not store.term.stopped:
             time.sleep(0.001)
         stopped.append(True)
         return Verdict(None, WorkStats([WorkerStats()], 0.0))

@@ -35,7 +35,7 @@ def test_check_parallel_detector_with_color_dump(tmp_path, capsys):
     ])
     assert code == 0
     lines = dump.read_text().splitlines()
-    assert lines[0] == "state,red,blue,dangerous,count"
+    assert lines[0] == "state,red,blue,dangerous,safe,count"
     assert len(lines) == 6
     # the full-red postcondition shows up in the dump
     assert all(line.split(",")[1] == "1" for line in lines[1:])

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from cyclone import AwaitResult, ColorStore, ReporterSlot, TerminationFlag, UnderflowFault
-from cyclone.colors import BLUE, DANGEROUS, RED
+from cyclone.colors import BLUE, DANGEROUS, RED, SAFE
 
 
 def _spawn(n, target):
@@ -95,10 +95,10 @@ def test_await_zero_unblocks_on_termination():
 
 def test_termination_flag_is_sticky():
     term = TerminationFlag()
-    assert not term.is_set()
+    assert not term.stopped
     term.set()
     term.set()
-    assert term.is_set()
+    assert term.stopped
 
 
 def test_reporter_slot_first_claim_wins():
@@ -114,16 +114,17 @@ def test_reporter_slot_first_claim_wins():
     assert len(winners) == 1
     assert slot.worker == winners[0]
     assert slot.lasso == f"lasso-{winners[0]}"
-    assert term.is_set()
+    assert term.stopped
 
 
 def test_dump_csv_shape():
     store = ColorStore(3, accepting=[1])
     store.set_flag(0, RED)
     store.set_flag(2, BLUE)
+    store.set_flag(2, SAFE)
     store.counter_adjust(1, 1)
     lines = store.dump_csv().splitlines()
-    assert lines[0] == "state,red,blue,dangerous,count"
-    assert lines[1] == "0,1,0,0,0"
-    assert lines[2] == "1,0,0,0,1"
-    assert lines[3] == "2,0,1,0,0"
+    assert lines[0] == "state,red,blue,dangerous,safe,count"
+    assert lines[1] == "0,1,0,0,0,0"
+    assert lines[2] == "1,0,0,0,0,1"
+    assert lines[3] == "2,0,1,0,1,0"

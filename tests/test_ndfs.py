@@ -11,15 +11,18 @@ from cyclone import (
     OrderKind,
     SuccessorOrder,
     WorkerStats,
+    endfs,
     gen_lasso,
     gen_random,
     has_accepting_cycle,
+    lndfs,
     ndfs,
+    nmc_ndfs,
     order_key,
     validate_lasso,
 )
-from cyclone.endfs import endfs_pass
-from cyclone.lndfs import lndfs_pass
+from cyclone.colors import BLUE
+from cyclone.search import nested_search
 from strategies import automata
 
 
@@ -121,7 +124,7 @@ _NDFS_GOLDEN = {
 }
 _STEM6_SHARED = (0, 33, 41, 62, 43, 31, 60, 22, 56, 35, 20, 37, 7, 32, 63, 14, 67, 36, 71)
 _SHARED_GOLDEN = {
-    # seed: (lasso, (blue, red) lndfs_pass, (blue, red) endfs_pass), worker 1's keys
+    # seed: (lasso, (blue, red) allred shared pass, (blue, red) optimistic shared pass), worker 1's keys
     0: (((0, 49, 7, 71), (71, 24, 60, 39, 14, 28, 53, 65, 5, 68), 3), (37, 7), (37, 17)),
     2: (((0, 10, 65, 12, 75), (75, 24, 43, 13, 51, 4, 47, 71), 2), (38, 7), (38, 19)),
     6: ((_STEM6_SHARED, (71,), 0), (28, 0), (28, 1)),
@@ -149,17 +152,30 @@ def test_permuted_shared_color_passes_are_frozen():
 
     for seed, (lasso, lcounts, ecounts) in _SHARED_GOLDEN.items():
         a = _mixed_degree_graph(80, 0.05, seed)
+        keys = (order_key(1, seed, OrderKind.BLUE), order_key(1, seed, OrderKind.RED))
         ws = WorkerStats()
-        res = lndfs_pass(
-            a,
-            ColorStore(a.num_states, a.accepting),
-            ws,
-            key_blue=order_key(1, seed, OrderKind.BLUE),
-            key_red=order_key(1, seed, OrderKind.RED),
-        )
+        store = ColorStore(a.num_states, a.accepting)
+        res = nested_search(a, ws, store.term, store=store, allred=True, keys=keys)
         assert _shape(res) == lasso
         assert (ws.blue_expansions, ws.red_expansions) == lcounts
         ws = WorkerStats()
-        res = endfs_pass(a, ColorStore(a.num_states, a.accepting), ws, 1, seed, no_repair)
+        store = ColorStore(a.num_states, a.accepting)
+        res = nested_search(a, ws, store.term, store=store, block=BLUE, keys=keys, repair=no_repair)
         assert _shape(res) == lasso
         assert (ws.blue_expansions, ws.red_expansions) == ecounts
+
+
+def _one_worker_run(v):
+    w = v.stats.workers[0]
+    return (_shape(v.lasso), w.blue_expansions, w.red_expansions, w.repair_expansions, w.max_stack_depth)
+
+
+def test_one_worker_shared_color_detectors_are_ndfs():
+    # alone, the shared-red detector is the allred search and both
+    # optimistic ones are the plain search: same lasso, same work
+    for seed in range(300):
+        a = _mixed_degree_graph(60, (0.02, 0.1, 0.3)[seed % 3], seed)
+        assert _one_worker_run(lndfs(a, 1)) == _one_worker_run(ndfs(a, None, allred=True)), seed
+        plain = _one_worker_run(ndfs(a, None))
+        assert _one_worker_run(endfs(a, 1)) == plain, seed
+        assert _one_worker_run(nmc_ndfs(a, 1)) == plain, seed

@@ -1,9 +1,14 @@
 """Optimistic detector with shared, helper-joinable repair passes."""
 
+import random
+import sys
+
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cyclone import (
+    BuchiAutomaton,
+    ColorStore,
     gen_lasso,
     gen_random,
     has_accepting_cycle,
@@ -11,6 +16,7 @@ from cyclone import (
     nmc_ndfs,
     validate_lasso,
 )
+from cyclone.colors import DANGEROUS, RED
 from strategies import automata
 
 
@@ -39,6 +45,73 @@ def test_multi_worker_verdicts_on_mid_size_graphs():
         for n in (2, 4, 8):
             v = nmc_ndfs(a, n, seed)
             assert v.cycle_found == want, (seed, n)
+
+
+def test_repair_does_not_trust_optimistic_red():
+    # 0 -> 1 -> 2 -> 3 -> 1 with 2 accepting, in the state an optimistic
+    # sibling leaves behind: 3 red, 2 dangerous.  The main pass promotes 2
+    # to red before it repairs it, so a repair pruned at red clears 2
+    # without looking and misses the cycle 1 2 3.
+    a = BuchiAutomaton(4, 0, frozenset({2}), [[1], [2], [3], [1]])
+    store = ColorStore(a.num_states, a.accepting)
+    store.set_flag(3, RED)
+    store.set_flag(2, DANGEROUS)
+    v = nmc_ndfs(a, 1, 0, store=store)
+    assert v.cycle_found
+    assert validate_lasso(a, v.lasso)
+    assert v.stats.repair_expansions == 3
+
+
+def _layered(seed: int, back_edge: bool, layers: int = 12, width: int = 60) -> BuchiAutomaton:
+    # the benchmark's layered shape: per layer a ring of non-accepting
+    # states plus as many accepting states that lead only onward, so no
+    # cycle is accepting.  Dense accepting states make racing workers
+    # meet each other's half-done ones.  back_edge adds one edge from the
+    # last layer to an accepting state, which closes accepting cycles.
+    rng = random.Random(seed)
+    n = layers * width
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [[] for _ in range(n)]
+    blocks = [ids[k * width:(k + 1) * width] for k in range(layers)]
+    accs = [b[: width // 2] for b in blocks]
+    rings = [b[width // 2:] for b in blocks]
+    for k in range(layers):
+        ring = rings[k]
+        for i, s in enumerate(ring):
+            edges[s] += [ring[(i + 1) % len(ring)], rng.choice(ring)]
+        for a in accs[k]:
+            edges[rng.choice(ring)].append(a)
+            if k + 1 < layers:
+                edges[a] += [rng.choice(rings[k + 1]), rng.choice(blocks[k + 1])]
+    if back_edge:
+        edges[rng.choice(blocks[-1])].append(rng.choice(accs[rng.randrange(layers - 1)]))
+    accepting = frozenset(a for acc in accs for a in acc)
+    return BuchiAutomaton(n, rings[0][0], accepting, [list(dict.fromkeys(e)) for e in edges])
+
+
+def test_racing_repairs_keep_verdicts_and_bounds():
+    # a short switch interval interleaves the workers often, so they mark
+    # each other's accepting states dangerous and repair them concurrently
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    repaired = 0
+    try:
+        for seed in range(24):
+            a = _layered(seed, back_edge=seed % 2 == 1)
+            store = ColorStore(a.num_states, a.accepting)
+            v = nmc_ndfs(a, 2 + seed % 2, seed, store=store)
+            assert v.cycle_found == has_accepting_cycle(a), seed
+            if v.lasso is not None:
+                assert validate_lasso(a, v.lasso)
+            else:
+                assert all(store.counter_value(s) == 0 for s in a.accepting)
+            for w in v.stats.workers:
+                assert w.blue_expansions + w.red_expansions + w.repair_expansions <= 4 * a.num_states
+            repaired += v.stats.repair_expansions
+    finally:
+        sys.setswitchinterval(old)
+    assert repaired > 0
 
 
 def test_per_worker_work_bound_four_visits():

@@ -1,6 +1,5 @@
 """Racing isolated workers: degenerate equality, claims, shared bias."""
 
-import importlib
 import statistics
 
 import pytest
@@ -14,10 +13,10 @@ from cyclone import (
     gen_random,
     has_accepting_cycle,
     ndfs,
-    run_workers,
     swarm_ndfs,
     validate_lasso,
 )
+from cyclone import search
 from strategies import automata
 
 
@@ -73,8 +72,8 @@ def test_worker_error_propagates():
         term  # other workers just return
 
     with pytest.raises(RuntimeError, match="boom"):
-        run_workers(4, body, term)
-    assert term.is_set()
+        search.run_workers(4, body, term)
+    assert term.stopped
 
 
 @settings(max_examples=25)
@@ -112,10 +111,8 @@ def test_heuristic_shares_discoveries():
 
 
 def test_only_racing_workers_yield(monkeypatch):
-    # the package attribute cyclone.ndfs is the function, not the module
-    engine = importlib.import_module("cyclone.ndfs")
     calls: list[None] = []
-    monkeypatch.setattr(engine, "_yield", lambda: calls.append(None))
+    monkeypatch.setattr(search, "_yield", lambda: calls.append(None))
     a = gen_random(2000, 2.0, 0.0, 1)
     lone = swarm_ndfs(a, 1, 0)
     assert not lone.cycle_found and lone.stats.total_expansions > 64
