@@ -3,7 +3,7 @@
 Inputs are either files in the text format of parse_automaton or inline
 generator specs (lasso:STEM:CYC:acc, random:N:DEG:P:SEED,
 needle:WIDTH:DEPTH:SEED).  Each run is wrapped in a watchdog that
-terminates cooperative detectors through their shared flag and raises
+terminates every detector but owcty through its stop flag and raises
 WatchdogTimeout; the budget comes from CYCLONE_WATCHDOG_SECS (default
 60 seconds).
 """
@@ -53,7 +53,10 @@ class Algorithm:
 # the lambdas look detectors up by module global at call time, so a test
 # can patch one
 ALGORITHM_TABLE: dict[str, Algorithm] = {
-    "ndfs": Algorithm(lambda aut, seed, allred, **_: ndfs(aut, SuccessorOrder(0, seed), allred=allred), allred=True),
+    "ndfs": Algorithm(
+        lambda aut, seed, allred, term, **_: ndfs(aut, SuccessorOrder(0, seed), allred=allred, term=term),
+        allred=True,
+    ),
     "swarm": Algorithm(
         lambda aut, workers, seed, heuristic, term, **_: swarm_ndfs(aut, workers, seed, heuristic, term=term),
         parallel=True, heuristic=True,
@@ -240,8 +243,8 @@ def execute(
     t.start()
     t.join(timeout)
     if t.is_alive():
-        # cooperative algorithms honour the stop flag; pure sequential
-        # ones cannot be interrupted and their thread is abandoned
+        # every nested search honours the stop flag; owcty cannot be
+        # interrupted and its thread is abandoned
         term.set()
         t.join(1.0)
         raise WatchdogTimeout(f"{algorithm} exceeded {timeout:.1f}s budget")

@@ -2,10 +2,25 @@
 
 Everything here is safe for unrestricted concurrent use by worker
 threads.  Global flags (red, blue, dangerous, safe) are monotone: once
-set they stay set for the whole run, so readers may skip the lock;
-writers go through one mutex so set-and-report-previous is indivisible.
-Under CPython's interpreter lock a write that happened before a flag was
-set is visible to any reader that observes the flag.
+set they stay set for the whole run.  Each flag has its own plane, one
+bytearray with a byte per state, so the flags cost 4 bytes per state
+and the engine publishes a flag with a plain store of 1, without a lock.
+That is sound for three reasons:
+
+- under CPython's interpreter lock a single bytearray item store is
+  indivisible, so a reader sees the byte either before or after it;
+- a store of 1 is idempotent, so racing writers of one flag agree;
+- no flag shares a byte with another, so no read-modify-write exists
+  that could overwrite a sibling's bit with a stale copy.
+
+The last point is why the planes matter: endfs and nmc write blue, red,
+dangerous and safe to the same state from different workers, and with
+one flag word per state an unlocked read-modify-write could lose a
+dangerous mark, skip its repair and report a wrong no-cycle verdict.
+Only set_flag still takes a lock, for callers that need to know whether
+they set a flag first (the exact count of dangerous marks).  Under the
+interpreter lock a write that happened before a flag was set is visible
+to any reader that observes the flag.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ RED = 1
 BLUE = 2
 DANGEROUS = 4
 SAFE = 8  # red as proved by nmc's repairs, which must not trust optimistic red
+FLAGS = (RED, BLUE, DANGEROUS, SAFE)  # one plane each, in dump_csv's column order
 
 # Worker-local color values (one byte per state, owned by a single worker).
 WHITE, CYAN, LOCAL_BLUE, PINK = 0, 1, 2, 3
@@ -70,15 +86,17 @@ class ReporterSlot:
 
 
 class ColorStore:
-    """Global flag word per state plus lazy accept counters.
+    """One byte plane per global flag, plus lazy accept counters.
 
-    The flags bytearray is public for lock-free reads in inner loops
-    (flags[s] & RED and friends); all writes must go through set_flag.
+    plane(bit) is public for inner loops, which read it and publish with
+    a plain store of 1.  set_flag is for writers that need the previous
+    value; it reports it exactly only on a plane that nothing else
+    writes, which holds for DANGEROUS.
     """
 
     def __init__(self, num_states: int, accepting=()):
         self.num_states = num_states
-        self.flags = bytearray(num_states)
+        self._planes = {bit: bytearray(num_states) for bit in FLAGS}
         self.accept_mask = bytearray(num_states)
         for a in accepting:
             self.accept_mask[a] = 1
@@ -87,15 +105,20 @@ class ColorStore:
         self._counter_lock = threading.Lock()
         self._counters: dict[int, int] = {}
 
+    def plane(self, bit: int) -> bytearray:
+        """The byte plane of one flag: nonzero at the states that have it."""
+        return self._planes[bit]
+
     def set_flag(self, state: int, bit: int) -> bool:
-        """Set one flag bit, returning whether it was already set."""
+        """Set one flag, returning whether it was already set."""
+        plane = self._planes[bit]
         with self._flag_lock:
-            prev = self.flags[state]
-            self.flags[state] = prev | bit
-            return bool(prev & bit)
+            prev = plane[state]
+            plane[state] = 1
+            return bool(prev)
 
     def get_flag(self, state: int, bit: int) -> bool:
-        return bool(self.flags[state] & bit)
+        return bool(self._planes[bit][state])
 
     def counter_adjust(self, state: int, delta: int) -> int:
         """Atomically add delta to the state's accept counter; returns the new value."""
@@ -133,10 +156,8 @@ class ColorStore:
     def dump_csv(self) -> str:
         """Post-mortem view: one 'state,red,blue,dangerous,safe,count' row per state."""
         lines = ["state,red,blue,dangerous,safe,count"]
+        planes = [self._planes[bit] for bit in FLAGS]
         for s in range(self.num_states):
-            f = self.flags[s]
-            lines.append(
-                f"{s},{1 if f & RED else 0},{1 if f & BLUE else 0},"
-                f"{1 if f & DANGEROUS else 0},{1 if f & SAFE else 0},{self._counters.get(s, 0)}"
-            )
+            bits = ",".join("1" if p[s] else "0" for p in planes)
+            lines.append(f"{s},{bits},{self._counters.get(s, 0)}")
         return "\n".join(lines) + "\n"

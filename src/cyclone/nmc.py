@@ -6,7 +6,7 @@ finder roots an allred pass at it; any worker arriving at the same root
 merges in as a helper, and workers whose own pass already completed pick
 open tasks off the board until every pass and every repair is done.
 
-Repairs block on, and publish, their own SAFE bit under the counter
+Repairs block on, and publish, their own SAFE flag under the counter
 protocol of lndfs.  They cannot use RED: the optimistic pass promotes a
 dangerous root to red before it is repaired, and a repair pruned at red
 states would clear it without looking.  SAFE is shared by all repairs,
@@ -93,12 +93,12 @@ def nmc_ndfs(
         with board:
             mains_done[0] += 1
         # own pass done: help with whatever repairs are still open
-        flags = store.flags
+        safe = store.plane(SAFE)
         while not term.stopped:
             open_task = None
             with board:
                 for task in tasks.values():
-                    if not flags[task.root] & SAFE:
+                    if not safe[task.root]:
                         open_task = task
                         break
                 settled = mains_done[0] == n_workers

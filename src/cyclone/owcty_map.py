@@ -9,6 +9,12 @@ restricts the candidate set to the forward closure of its accepting
 states and strips states with no remaining predecessor, until the set is
 stable.  A non-empty fixpoint contains an accepting cycle, an empty one
 rules it out.
+
+The expansion count is the work of both phases: each state the initial
+closure reaches, each queue pop of the propagation, and each state kept
+or stripped in a fixpoint round.  The breadth-first walks that build a
+lasso (bfs_path, cycle_through) run once per cycle found and stay
+uncounted.
 """
 
 from __future__ import annotations
@@ -24,11 +30,16 @@ from .results import Lasso, Verdict, WorkerStats, WorkStats
 
 @dataclass(slots=True)
 class MapResult:
-    """Outcome of one propagation pass: a lasso, or the stable id table."""
+    """Outcome of one propagation pass: a lasso, or the stable id table.
+
+    reach is the set of states reachable from the initial state, pops the
+    work done: one per state of reach, plus one per queue pop.
+    """
 
     lasso: Lasso | None
     table: list[int]
     pops: int
+    reach: set[int]
 
 
 def map_pass(aut: BuchiAutomaton) -> MapResult:
@@ -42,7 +53,7 @@ def map_pass(aut: BuchiAutomaton) -> MapResult:
     reach = reachable_from(aut, [aut.init])
     table = [0] * n
     queue = deque(s for s in reach if amask[s])
-    pops = 0
+    pops = len(reach)
     while queue:
         u = queue.popleft()
         pops += 1
@@ -54,10 +65,10 @@ def map_pass(aut: BuchiAutomaton) -> MapResult:
                     cycle = cycle_through(aut, t)
                     stem = bfs_path(aut, aut.init, {t})
                     assert cycle is not None and stem is not None
-                    return MapResult(Lasso(tuple(stem), tuple(cycle), 0), table, pops)
+                    return MapResult(Lasso(tuple(stem), tuple(cycle), 0), table, pops, reach)
                 table[t] = val
                 queue.append(t)
-    return MapResult(None, table, pops)
+    return MapResult(None, table, pops, reach)
 
 
 def owcty(aut: BuchiAutomaton) -> Verdict:
@@ -76,7 +87,7 @@ def owcty(aut: BuchiAutomaton) -> Verdict:
         return Verdict(mr.lasso, stats, winner=0)
 
     amask = aut.accept_mask
-    candidates = reachable_from(aut, [aut.init])
+    candidates = mr.reach
     rounds = 0
     while candidates:
         rounds += 1

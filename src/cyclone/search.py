@@ -7,13 +7,15 @@ a nested red search; an edge into a cyan state there is a cycle through
 the red root.  A call enters each state at most once in blue and once in
 red, so its expansions never exceed twice the number of states.
 
-Each call picks a flags array and the bit of it that stops the blue
+Each call picks, once, the byte plane whose set states stop the blue
 search: a private array (ndfs, swarm, the repairs of endfs), or the
-shared ColorStore blocking on RED (lndfs), on SAFE (the repairs of nmc)
-or on BLUE (endfs).  It also picks one of two red searches:
+ColorStore plane of RED (lndfs), of SAFE (the repairs of nmc) or of
+BLUE (endfs).  Publishing a flag is a plain store of 1 into its plane;
+only a DANGEROUS mark goes through the store's locked set_flag, because
+its count must be exact.  It also picks one of two red searches:
 
 - allred (LNDFS): a state whose successors all came back blocked is
-  blocked itself, and the red search publishes the blocking bit at
+  blocked itself, and the red search publishes the blocking flag at
   backtrack.  An accepting root counts the red searches rooted at it,
   and the last one out waits for the rest before publishing, which
   keeps a half-finished sibling search from being pruned into
@@ -24,7 +26,9 @@ or on BLUE (endfs).  It also picks one of two red searches:
   root to the caller's repair.
 
 On a private array both reduce to the sequential algorithm: allred is
-the allred extension of ndfs and optimistic is plain ndfs.
+the allred extension of ndfs and optimistic is plain ndfs.  A private
+call has a single plane, which serves as both the blocking and the red
+one.
 
 Two costs stay off the hot path.  A search yields the interpreter only
 when its caller says sibling workers race it; a lone worker still checks
@@ -116,18 +120,19 @@ def nested_search(
 ):
     """One worker's nested search.  Returns a Lasso, None, or STOPPED.
 
-    With a store the search reads and publishes its shared flags;
-    without one it uses flags, a private array (fresh when None).  colors
-    and flags may come from an earlier call (the repairs of endfs reuse
-    them across roots); a root already entered or blocked returns None
-    without work.  block is the flag bit that stops the blue search, and
-    allred picks the counter-protected red search over the optimistic
-    one.  keys are the blue and red permutation keys (canonical order
-    when None).  visited is the shared discovery bitset for the
-    fresh-successor bias, seen an optional bitset recording every state
-    this call enters, stem a path from the initial state to the root for
-    lassos reported out of rooted calls.  racing says sibling workers run
-    beside this one, so the search yields to them now and then.
+    With a store the search reads and publishes the store's flag planes;
+    without one it uses flags, a private plane (fresh when None) that
+    blocks and marks red at once.  colors and flags may come from an
+    earlier call (the repairs of endfs reuse them across roots); a root
+    already entered or blocked returns None without work.  block is the
+    flag whose plane stops the blue search of a shared call, and allred
+    picks the counter-protected red search over the optimistic one.  keys
+    are the blue and red permutation keys (canonical order when None).
+    visited is the shared discovery bitset for the fresh-successor bias,
+    seen an optional bitset recording every state this call enters, stem
+    a path from the initial state to the root for lassos reported out of
+    rooted calls.  racing says sibling workers run beside this one, so
+    the search yields to them now and then.
     repair(root, stem) re-examines a dangerous red root of the optimistic
     search and returns a Lasso, STOPPED, or None when the root is clean.
     """
@@ -136,18 +141,17 @@ def nested_search(
     amask = aut.accept_mask
     shared = store is not None
     if shared:
-        flags = store.flags
-        set_flag = store.set_flag
-    elif flags is None:
-        flags = bytearray(n)
+        blk, red, dng = store.plane(block), store.plane(RED), store.plane(DANGEROUS)
+    else:
+        blk = red = flags if flags is not None else bytearray(n)
     if colors is None:
         colors = bytearray(n)
     # The optimistic red search marks what it entered in pink, apart from
     # colors: a shared search may enter states this worker has not
     # finished, and those must stay open to its blue search.  A private
-    # search marks them RED at once instead, since alone nothing it meets
+    # search marks them red at once instead, since alone nothing it meets
     # is dangerous and its promotion is certain.
-    pink, pink_bit = (bytearray(n), 1) if shared else (flags, RED)
+    pink = bytearray(n) if shared else red
     if root is None:
         root = aut.init
     key_blue, key_red = keys
@@ -163,7 +167,7 @@ def nested_search(
         return lst
 
     try:
-        if colors[root] != WHITE or flags[root] & block:
+        if colors[root] != WHITE or blk[root]:
             return None  # already cleared
         colors[root] = CYAN
         blue_exp += 1
@@ -202,7 +206,7 @@ def nested_search(
                     bpath = [fr[0] for fr in frames]
                     ti = bpath.index(t)
                     return _splice(stem, bpath, ti, bpath[ti:], amask)
-                if c == WHITE and not flags[t] & block:
+                if c == WHITE and not blk[t]:
                     colors[t] = CYAN
                     blue_exp += 1
                     if visited is not None:
@@ -212,7 +216,7 @@ def nested_search(
                     frames.append([t, expand(t, key_blue), 0, True])
                     if len(frames) > maxd:
                         maxd = len(frames)
-                elif allred and not flags[t] & block:
+                elif allred and not blk[t]:
                     f[3] = False
                 continue
 
@@ -221,10 +225,7 @@ def nested_search(
             colors[s] = LOCAL_BLUE
             if allred:
                 if f[3]:  # every successor came back blocked
-                    if shared:
-                        set_flag(s, block)
-                    else:
-                        flags[s] |= block
+                    blk[s] = 1
                 elif amask[s]:
                     # counter-protected red search, rooted at s
                     if shared:
@@ -249,14 +250,11 @@ def nested_search(
                         if t < 0:
                             rframes.pop()
                             u = rf[0]
-                            if not shared:
-                                flags[u] |= block
-                                continue
-                            if amask[u] and store.counter_adjust(u, -1) != 0:
+                            if shared and amask[u] and store.counter_adjust(u, -1) != 0:
                                 waits += 1
                                 if store.await_zero(u, stop) is AwaitResult.TERMINATED:
                                     return STOPPED
-                            set_flag(u, block)
+                            blk[u] = 1
                             continue
                         c = colors[t]
                         if c == CYAN:
@@ -265,7 +263,7 @@ def nested_search(
                             rpath = [rr[0] for rr in rframes]
                             ti = bpath.index(t)
                             return _splice(stem, bpath, ti, bpath[ti:] + rpath[1:], amask)
-                        if c != PINK and not flags[t] & block:
+                        if c != PINK and not blk[t]:
                             assert not amask[t], "red search reached an unprocessed accepting state"
                             colors[t] = PINK
                             red_exp += 1
@@ -275,15 +273,15 @@ def nested_search(
                             d = len(frames) + len(rframes)
                             if d > maxd:
                                 maxd = d
-                if len(frames) > 1 and not flags[s] & block:
+                if len(frames) > 1 and not blk[s]:
                     frames[-2][3] = False  # the parent's allred conjunction
             else:
                 if shared:
-                    set_flag(s, block)
+                    blk[s] = 1
                 if amask[s]:
                     # optimistic red search; candidates collected for promotion
                     cand = [s] if shared else None
-                    pink[s] |= pink_bit
+                    pink[s] = 1
                     red_exp += 1
                     rframes = [[s, expand(s, key_red), 0]]
                     while rframes:
@@ -308,15 +306,15 @@ def nested_search(
                             rpath = [rr[0] for rr in rframes]
                             ti = bpath.index(t)
                             return _splice(stem, bpath, ti, bpath[ti:] + rpath[1:], amask)
-                        if not flags[t] & RED:
+                        if not red[t]:
                             if amask[t]:
                                 # met an uncleared accepting state: poison it.
                                 # Alone, post order has cleared every one.
                                 assert shared, "red search reached an unprocessed accepting state"
-                                if not set_flag(t, DANGEROUS):
+                                if not dng[t] and not store.set_flag(t, DANGEROUS):
                                     dangerous += 1
-                            if not pink[t] & pink_bit:
-                                pink[t] |= pink_bit
+                            if not pink[t]:
+                                pink[t] = 1
                                 if shared:
                                     cand.append(t)
                                 red_exp += 1
@@ -328,9 +326,9 @@ def nested_search(
                                     maxd = d
                     if shared:
                         for r in cand:
-                            if r == s or not flags[r] & DANGEROUS:
-                                set_flag(r, RED)
-                        if flags[s] & DANGEROUS:
+                            if r == s or not dng[r]:
+                                red[r] = 1
+                        if dng[s]:
                             res = repair(s, tuple(fr[0] for fr in frames))
                             if res is not None:
                                 return res
@@ -398,15 +396,21 @@ def race(n_workers: int, term: TerminationFlag, body) -> Verdict:
     return Verdict(reporter.lasso, WorkStats(stats, perf_counter() - t0), winner=reporter.worker)
 
 
-def ndfs(aut: BuchiAutomaton, order: SuccessorOrder | None = None, allred: bool = False) -> Verdict:
+def ndfs(
+    aut: BuchiAutomaton,
+    order: SuccessorOrder | None = None,
+    allred: bool = False,
+    term: TerminationFlag | None = None,
+) -> Verdict:
     """Sequential accepting-cycle detector.
 
     order picks the successor permutation (canonical order when None); its
     kind field is ignored because the blue and red orders both derive from
     the same worker and seed.  allred enables the extension that promotes
     a state to red when every successor came back red, skipping provably
-    redundant red searches.
+    redundant red searches.  term may inject an external termination flag
+    (the bench watchdog uses this).
     """
     keys = (None, None) if order is None else worker_keys(order.worker_id, order.seed)
-    term = TerminationFlag()
+    term = term or TerminationFlag()
     return race(1, term, lambda w, ws: nested_search(aut, ws, term, allred=allred, keys=keys))

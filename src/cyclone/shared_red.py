@@ -3,7 +3,7 @@
 Each worker runs the allred search with its own stack colors, under its
 own successor order (worker 0 canonical, the rest seeded permutations),
 and prunes any state the swarm has already proved safe.  What this adds
-to the engine is only the sharing: the store's RED bit blocks every
+to the engine is only the sharing: the store's RED plane blocks every
 worker's blue search, and the engine's accept counters keep a
 half-finished sibling red search from being pruned.
 """

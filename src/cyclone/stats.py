@@ -77,8 +77,10 @@ class EmpiricalDistribution:
         At least 1 for any sample set.  Can exceed n when a few samples
         sit near zero, so no upper check is made here.
         """
-        base = self.expected_min(1)
-        fast = self.expected_min(n)
-        if fast == 0.0:
+        top = self.samples[-1]
+        if top == 0.0:
             raise ZeroTime("expected minimum is zero")
-        return base / fast
+        # scaled to the largest sample: a weighted sum of subnormal samples
+        # can round to zero and turn the ratio into 0 or a division by zero
+        scaled = EmpiricalDistribution(tuple(t / top for t in self.samples))
+        return scaled.expected_min(1) / scaled.expected_min(n)

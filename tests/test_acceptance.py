@@ -184,7 +184,7 @@ def test_criterion_7_full_red_postcondition():
             store = ColorStore(a.num_states, a.accepting)
             v = execute(a, "lndfs", 4, 17, timeout=0, store=store)
             assert not v.cycle_found
-            if not all(store.flags[s] & RED for s in range(a.num_states)):
+            if not all(store.get_flag(s, RED) for s in range(a.num_states)):
                 bad += 1
     _report(7, bad == 0,
             f"every state red after {cases} no-cycle shared-red runs "

@@ -1,5 +1,6 @@
 """Harness plumbing: input specs, records, watchdog, sweep aggregates."""
 
+import threading
 import time
 
 import pytest
@@ -141,6 +142,23 @@ def test_watchdog_fires_and_terminates_the_run(monkeypatch):
     assert stopped == [True]  # the stop flag reached the hung detector
 
 
+def test_watchdog_stops_ndfs_and_leaves_no_thread(monkeypatch):
+    stopped = []
+
+    def sleeper(aut, order=None, allred=False, term=None):
+        while not term.stopped:
+            time.sleep(0.001)
+        stopped.append(True)
+        return Verdict(None, WorkStats([WorkerStats()], 0.0))
+
+    monkeypatch.setattr(bench, "ndfs", sleeper)
+    a = resolve_input("lasso:1:1:acc")
+    with pytest.raises(WatchdogTimeout):
+        execute(a, "ndfs", timeout=0.2)
+    assert stopped == [True]
+    assert not [t for t in threading.enumerate() if t.name == "bench-ndfs"]
+
+
 def test_watchdog_budget_comes_from_environment(monkeypatch):
     monkeypatch.setenv("CYCLONE_WATCHDOG_SECS", "123.5")
     assert bench.watchdog_secs() == 123.5
@@ -150,7 +168,7 @@ def test_watchdog_budget_comes_from_environment(monkeypatch):
 
 
 def test_invalid_lasso_is_reported_not_recorded(monkeypatch):
-    def liar(aut, order=None, allred=False):
+    def liar(aut, order=None, allred=False, term=None):
         bogus = Lasso((0,), (0,), 0)
         return Verdict(bogus, WorkStats([WorkerStats()], 0.0), winner=0)
 
@@ -160,7 +178,7 @@ def test_invalid_lasso_is_reported_not_recorded(monkeypatch):
 
 
 def test_sweep_oracle_check_catches_wrong_verdicts(monkeypatch):
-    def denier(aut, order=None, allred=False):
+    def denier(aut, order=None, allred=False, term=None):
         return Verdict(None, WorkStats([WorkerStats()], 0.0))
 
     monkeypatch.setattr(bench, "ndfs", denier)

@@ -1,12 +1,13 @@
 """Shared color table: atomicity, counters, and the zero-wait protocol."""
 
+import sys
 import threading
 import time
 
 import pytest
 
 from cyclone import AwaitResult, ColorStore, ReporterSlot, TerminationFlag, UnderflowFault
-from cyclone.colors import BLUE, DANGEROUS, RED, SAFE
+from cyclone.colors import BLUE, DANGEROUS, FLAGS, RED, SAFE
 
 
 def _spawn(n, target):
@@ -38,7 +39,54 @@ def test_flags_are_independent_bits():
     assert store.get_flag(1, RED)
     assert store.get_flag(1, DANGEROUS)
     assert not store.get_flag(1, BLUE)
-    assert store.flags[0] == 0 and store.flags[2] == 0
+    assert not any(store.get_flag(s, bit) for s in (0, 2) for bit in FLAGS)
+
+
+def test_planes_keep_every_flag_under_concurrent_writers():
+    # one writer per flag stores into every state with a plain store, as the
+    # engine publishes; a store that read-modify-wrote a shared word would
+    # lose some of the others' flags under frequent thread switches
+    n = 20_000
+    store = ColorStore(n)
+    go = threading.Event()
+
+    def body(i):
+        plane = store.plane(FLAGS[i])
+        go.wait()
+        for s in range(n):
+            plane[s] = 1
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=body, args=(i,)) for i in range(len(FLAGS))]
+        for t in threads:
+            t.start()
+        go.set()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(old)
+    assert all(store.get_flag(s, bit) for s in range(n) for bit in FLAGS)
+
+
+def test_set_flag_reports_first_setter_once_per_state_and_flag():
+    store = ColorStore(50)
+    firsts = []
+    lock = threading.Lock()
+
+    def body(i):
+        mine = [(s, bit) for s in range(store.num_states) for bit in FLAGS if not store.set_flag(s, bit)]
+        with lock:
+            firsts.extend(mine)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _spawn(8, body)
+    finally:
+        sys.setswitchinterval(old)
+    assert sorted(firsts) == sorted((s, bit) for s in range(store.num_states) for bit in FLAGS)
 
 
 def test_counter_balances_across_threads():

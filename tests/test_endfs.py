@@ -65,7 +65,7 @@ def test_store_ends_fully_settled_when_no_cycle():
     # every reachable state got a blue mark
     from cyclone.colors import BLUE
 
-    assert all(store.flags[s] & BLUE for s in range(a.num_states))
+    assert all(store.get_flag(s, BLUE) for s in range(a.num_states))
 
 
 def test_extras_always_present():

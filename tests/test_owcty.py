@@ -5,12 +5,14 @@ from hypothesis import given
 from cyclone import (
     BuchiAutomaton,
     gen_lasso,
+    gen_needle,
     gen_random,
     has_accepting_cycle,
     map_pass,
     owcty,
     validate_lasso,
 )
+from cyclone.paths import reachable_from
 from strategies import automata
 
 
@@ -26,6 +28,18 @@ def test_quiet_propagation_falls_through_to_elimination():
     assert not v.cycle_found
     assert v.stats.extras["map_hits"] == 0
     assert v.stats.extras["owcty_rounds"] == 2
+
+
+def test_expansions_count_the_reachable_closure():
+    # decided in the propagation pass after a couple of pops, but the
+    # closure it walked first covers every reachable state
+    a = gen_needle(64, 1000, 0)
+    reach = reachable_from(a, [a.init])
+    mr = map_pass(a)
+    assert mr.reach == reach
+    v = owcty(a)
+    assert v.stats.extras["map_hits"] == 1
+    assert v.stats.total_expansions >= len(reach)
 
 
 def test_propagation_table_frozen():
