@@ -3,14 +3,15 @@
 Inputs are either files in the text format of parse_automaton or inline
 generator specs (lasso:STEM:CYC:acc, random:N:DEG:P:SEED,
 needle:WIDTH:DEPTH:SEED).  Each run is wrapped in a watchdog that
-terminates every detector but owcty through its stop flag and raises
-WatchdogTimeout; the budget comes from CYCLONE_WATCHDOG_SECS (default
-60 seconds).
+stops the detector through its stop flag and raises WatchdogTimeout; the
+budget comes from CYCLONE_WATCHDOG_SECS (default 60 seconds) and must be
+a finite number of seconds.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import threading
 from collections.abc import Callable
@@ -71,7 +72,7 @@ ALGORITHM_TABLE: dict[str, Algorithm] = {
     "nmc": Algorithm(
         lambda aut, workers, seed, store, **_: nmc_ndfs(aut, workers, seed, store=store), parallel=True, shared=True
     ),
-    "owcty": Algorithm(lambda aut, **_: owcty(aut), lenient=True),
+    "owcty": Algorithm(lambda aut, term, **_: owcty(aut, term=term), lenient=True),
 }
 
 ALGORITHMS = tuple(ALGORITHM_TABLE)
@@ -87,7 +88,7 @@ class InvalidConfig(ValueError):
 
 
 class InputNotFound(FileNotFoundError):
-    """Raised when an input spec is neither a generator nor a readable file."""
+    """Raised when an input spec is neither a generator nor a readable text file."""
 
 
 class VerdictCorrupt(RuntimeError):
@@ -188,15 +189,22 @@ def resolve_input(spec: str) -> BuchiAutomaton:
     path = Path(spec)
     if not path.is_file():
         raise InputNotFound(f"no such input: {spec}")
-    return parse_automaton(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputNotFound(f"cannot read input {spec}: {e}") from e
+    return parse_automaton(text)
 
 
 def watchdog_secs() -> float:
+    """The watchdog budget in seconds from CYCLONE_WATCHDOG_SECS, default 60."""
     raw = os.environ.get("CYCLONE_WATCHDOG_SECS", "60")
     try:
         secs = float(raw)
     except ValueError as e:
         raise InvalidConfig(f"bad CYCLONE_WATCHDOG_SECS {raw!r}") from e
+    if not math.isfinite(secs):
+        raise InvalidConfig(f"bad CYCLONE_WATCHDOG_SECS {raw!r}: not a finite number of seconds")
     return secs
 
 
@@ -213,11 +221,14 @@ def execute(
     """Run one detector once, under the watchdog.
 
     timeout=None takes the environment budget; a non-positive timeout
-    disables the watchdog and runs inline.  A pre-built store may be
+    disables the watchdog and runs inline, and a non-finite one is
+    rejected with InvalidConfig.  A pre-built store may be
     passed for the shared-color algorithms to inspect colors afterwards.
     """
     if timeout is None:
         timeout = watchdog_secs()
+    elif not math.isfinite(timeout):
+        raise InvalidConfig(f"bad timeout {timeout}: not a finite number of seconds")
     alg = _algorithm(algorithm)
     if not alg.shared:
         store = None
@@ -243,8 +254,7 @@ def execute(
     t.start()
     t.join(timeout)
     if t.is_alive():
-        # every nested search honours the stop flag; owcty cannot be
-        # interrupted and its thread is abandoned
+        # every detector reads the stop flag and returns soon after
         term.set()
         t.join(1.0)
         raise WatchdogTimeout(f"{algorithm} exceeded {timeout:.1f}s budget")

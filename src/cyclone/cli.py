@@ -5,7 +5,11 @@ runs a grid of configurations to CSV, dist evaluates the racing model
 on a sample of completion times.
 
 Exit codes: 0 done, 1 usage or input problem, 2 verdict disagrees with
-the oracle (or fails validation), 3 watchdog timeout.
+the oracle (or fails validation), 3 watchdog timeout.  Exit 1 covers the
+typed errors of configuration and input, and any OSError or ValueError
+raised while reading inputs, parsing samples or lists, or writing
+outputs; the same exceptions raised anywhere else, inside a detector
+run say, are not input problems and propagate.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from .automaton import DanglingStateId, DuplicateEdge, MalformedHeader, ZeroCycle
@@ -38,6 +44,19 @@ from .stats import EmpiricalDistribution, EmptyDistribution, ZeroTime
 
 class _UsageError(Exception):
     pass
+
+
+class _FileError(Exception):
+    """A user's file or list that cannot be read, parsed or written."""
+
+
+@contextmanager
+def _user_data() -> Iterator[None]:
+    """Report an OSError or ValueError of the enclosed step as a _FileError."""
+    try:
+        yield
+    except (OSError, ValueError) as e:
+        raise _FileError(e) from e
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +112,8 @@ def _cmd_gen(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        with _user_data():
+            Path(args.output).write_text(text)
     return 0
 
 
@@ -110,7 +130,8 @@ def _cmd_check(args) -> int:
     v = execute(aut, cfg.algorithm, cfg.workers, cfg.seed, cfg.heuristic,
                 cfg.allred, timeout=args.timeout, store=store)
     if args.dump_colors:
-        Path(args.dump_colors).write_text(store.dump_csv())
+        with _user_data():
+            Path(args.dump_colors).write_text(store.dump_csv())
     if v.lasso is not None:
         print("CYCLE")
         print("stem:", " ".join(map(str, v.lasso.stem)))
@@ -126,7 +147,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_bench(args) -> int:
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
-    workers = [int(w) for w in args.workers.split(",") if w.strip()]
+    with _user_data():
+        workers = [int(w) for w in args.workers.split(",") if w.strip()]
     if not algs or not workers:
         raise InvalidConfig("need at least one algorithm and one worker count")
     configs = []
@@ -140,9 +162,10 @@ def _cmd_bench(args) -> int:
                     heuristic=args.heuristic and spec is not None and spec.heuristic,
                 ))
     records, rows = sweep(configs, oracle_check=args.oracle, timeout=args.timeout)
-    write_csv(records, args.output)
-    if args.aggregate:
-        write_sweep_csv(rows, args.aggregate)
+    with _user_data():
+        write_csv(records, args.output)
+        if args.aggregate:
+            write_sweep_csv(rows, args.aggregate)
     print(f"{len(records)} runs -> {args.output}")
     return 0
 
@@ -152,26 +175,32 @@ def _read_samples(path: str, alg: str | None, inp: str | None) -> list[float]:
     first = text.splitlines()[0] if text.strip() else ""
     if first.startswith("input,alg,"):
         out = []
-        for row in csv.DictReader(text.splitlines()):
+        reader = csv.DictReader(text.splitlines())
+        for row in reader:
             if alg is not None and row["alg"] != alg:
                 continue
             if inp is not None and row["input"] != inp:
                 continue
+            if row.get("wall_time_s") is None:
+                raise ValueError(f"{path} line {reader.line_num}: no wall_time_s field")
             out.append(float(row["wall_time_s"]))
         return out
     return [float(tok) for line in text.splitlines() for tok in line.split("#", 1)[0].split()]
 
 
 def _cmd_dist(args) -> int:
-    samples = _read_samples(args.file, args.alg, args.input)
-    dist = EmpiricalDistribution.from_samples(samples)
+    with _user_data():
+        dist = EmpiricalDistribution.from_samples(_read_samples(args.file, args.alg, args.input))
+        ns = [int(x) for x in args.ns.split(",") if x.strip()]
+    if any(n < 1 for n in ns):
+        raise _UsageError(f"swarm sizes must be >= 1, got {args.ns}")
     rows = []
-    for n in (int(x) for x in args.ns.split(",") if x.strip()):
+    for n in ns:
         rows.append((n, dist.expected_min(n), dist.min_stddev(n), dist.speedup(n)))
         print(f"N={rows[-1][0]} expected={rows[-1][1]:.6f} "
               f"stddev={rows[-1][2]:.6f} speedup={rows[-1][3]:.4f}")
     if args.output:
-        with open(args.output, "w") as fh:
+        with _user_data(), open(args.output, "w") as fh:
             fh.write("n,expected_min,stddev,speedup\n")
             for n, em, sd, sp in rows:
                 fh.write(f"{n},{em:.9f},{sd:.9f},{sp:.6f}\n")
@@ -195,10 +224,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (InvalidConfig, InputNotFound, MalformedHeader, DanglingStateId,
-            DuplicateEdge, ZeroCycle, EmptyDistribution, ZeroTime) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
+            DuplicateEdge, ZeroCycle, EmptyDistribution, ZeroTime, _FileError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except VerdictCorrupt as e:

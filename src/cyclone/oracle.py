@@ -2,10 +2,12 @@
 
 This module is the ground truth the search algorithms are measured
 against, so it shares no traversal logic with them: the decision comes
-from an iterative Tarjan SCC pass over the subgraph reachable from init.
-An accepting cycle exists iff some reachable SCC contains an accepting
-state and is non-trivial (two or more states, or one state with a
-self-loop).
+from an iterative Tarjan SCC pass over the subgraph reachable from init,
+kept here and calling nothing of the detectors.  An accepting cycle
+exists iff some reachable SCC contains an accepting state and is
+non-trivial (two or more states, or one state with a self-loop).  Only
+the witness lasso of a cyclic verdict borrows the breadth-first path
+helpers of paths.py.
 """
 
 from __future__ import annotations
@@ -14,67 +16,73 @@ from .automaton import BuchiAutomaton
 from .paths import bfs_path, cycle_through
 from .results import Lasso
 
-_VISIT, _EDGE, _FOLD, _ROOT = range(4)
-
 
 def sccs_from_init(aut: BuchiAutomaton) -> list[list[int]]:
     """Strongly connected components of the part of aut reachable from init.
 
-    Iterative Tarjan with an explicit opcode stack; components come out in
-    reverse topological order.
+    Iterative Tarjan on flat arrays: index and low lists (index -1 for a
+    state not yet visited), a bytearray on-stack mask, and one
+    (state, successor iterator) frame per open state.  Successors are
+    taken in edge order; components come out in reverse topological
+    order, each listed from the last state pushed down to its root.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack = set()
+    edges = aut.edges
+    index = [-1] * aut.num_states
+    low = [0] * aut.num_states
+    on_stack = bytearray(aut.num_states)
     stack: list[int] = []
     comps: list[list[int]] = []
-    todo: list[tuple[int, int, int]] = [(_VISIT, aut.init, -1)]
-    counter = 0
-    while todo:
-        op, s, t = todo.pop()
-        if op == _VISIT:
-            if s in index:
-                continue
-            index[s] = low[s] = counter
-            counter += 1
-            stack.append(s)
-            on_stack.add(s)
-            todo.append((_ROOT, s, -1))
-            for u in reversed(aut.edges[s]):
-                todo.append((_EDGE, s, u))
-        elif op == _EDGE:
-            if t not in index:
-                # fold low[t] into low[s] once t's subtree is done
-                todo.append((_FOLD, s, t))
-                todo.append((_VISIT, t, -1))
-            elif t in on_stack:
-                if index[t] < low[s]:
-                    low[s] = index[t]
-        elif op == _FOLD:
-            if low[t] < low[s]:
-                low[s] = low[t]
-        elif low[s] == index[s]:  # _ROOT
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == s:
-                    break
-            comps.append(comp)
+    init = aut.init
+    index[init] = low[init] = 0
+    counter = 1
+    stack.append(init)
+    on_stack[init] = 1
+    frames = [(init, iter(edges[init]))]
+    while frames:
+        s, succs = frames[-1]
+        for t in succs:
+            if index[t] < 0:
+                index[t] = low[t] = counter
+                counter += 1
+                stack.append(t)
+                on_stack[t] = 1
+                frames.append((t, iter(edges[t])))
+                break
+            if on_stack[t] and index[t] < low[s]:
+                low[s] = index[t]
+        else:
+            # s is done: close its component if it is a root, else fold its
+            # low link into its parent's (a root's could not lower it)
+            frames.pop()
+            ls = low[s]
+            if ls == index[s]:
+                if stack[-1] == s:
+                    stack.pop()
+                    on_stack[s] = 0
+                    comps.append([s])
+                    continue
+                k = len(stack) - 2
+                while stack[k] != s:
+                    k -= 1
+                comp = stack[k:]
+                del stack[k:]
+                comp.reverse()
+                for w in comp:
+                    on_stack[w] = 0
+                comps.append(comp)
+            elif ls < low[frames[-1][0]]:
+                low[frames[-1][0]] = ls
     return comps
 
 
 def _accepting_cycle_scc(aut: BuchiAutomaton) -> list[int] | None:
     """An SCC witnessing an accepting cycle, or None."""
+    amask = aut.accept_mask
     for comp in sccs_from_init(aut):
-        acc = [s for s in comp if aut.accept_mask[s]]
-        if not acc:
-            continue
         if len(comp) > 1:
-            return comp
-        s = comp[0]
-        if s in aut.edges[s]:
+            if any(amask[s] for s in comp):
+                return comp
+        elif amask[comp[0]] and comp[0] in aut.edges[comp[0]]:
             return comp
     return None
 
@@ -89,14 +97,16 @@ def witness_lasso(aut: BuchiAutomaton) -> Lasso | None:
     comp = _accepting_cycle_scc(aut)
     if comp is None:
         return None
-    members = set(comp)
+    outside = bytearray([1]) * aut.num_states
+    for s in comp:
+        outside[s] = 0
     for a in comp:
         if not aut.accept_mask[a]:
             continue
-        cycle = cycle_through(aut, a, members)
+        cycle = cycle_through(aut, a, outside)
         if cycle is None:
             continue  # accepting state in a multi-state SCC always cycles, but stay total
-        stem = bfs_path(aut, aut.init, {a})
+        stem = bfs_path(aut, aut.init, a)
         assert stem is not None, "SCC states are reachable from init by construction"
         lasso = Lasso(tuple(stem), tuple(cycle), 0)
         assert validate_lasso(aut, lasso)

@@ -10,21 +10,35 @@ states and strips states with no remaining predecessor, until the set is
 stable.  A non-empty fixpoint contains an accepting cycle, an empty one
 rules it out.
 
+The candidate set starts as the states reachable from init and stays
+closed under successors: a round's closure is closed by construction,
+and a successor of a survivor keeps that survivor as a predecessor, so
+it is never stripped.  No walk of the fixpoint therefore needs a
+restriction to the candidates.  Each round's closure is one
+paths.bfs_order walk, whose visited bytearray tells which candidates it
+missed.  In-degrees live in a list: they are counted once, over the
+first round's closure, and decremented as predecessors leave, whether a
+later closure missed them or they were stripped.
+
 The expansion count is the work of both phases: each state the initial
 closure reaches, each queue pop of the propagation, and each state kept
 or stripped in a fixpoint round.  The breadth-first walks that build a
 lasso (bfs_path, cycle_through) run once per cycle found and stay
 uncounted.
+
+A stop flag is read every 1,024 pops of the propagation and before each
+phase of a fixpoint round, so between two reads no walk covers more than
+the reachable graph once; a stopped run returns no lasso.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 
 from .automaton import BuchiAutomaton
-from .paths import bfs_path, cycle_through, reachable_from
+from .colors import TerminationFlag
+from .paths import bfs_order, bfs_path, cycle_through
 from .results import Lasso, Verdict, WorkerStats, WorkStats
 
 
@@ -42,28 +56,32 @@ class MapResult:
     reach: set[int]
 
 
-def map_pass(aut: BuchiAutomaton) -> MapResult:
+def map_pass(aut: BuchiAutomaton, term: TerminationFlag | None = None) -> MapResult:
     """Propagate maximal accepting-predecessor ids to fixpoint.
 
     Sound but one-sided: a lasso result is definite, a None result only
-    means this heuristic saw nothing.
+    means this heuristic saw nothing (or term stopped it).
     """
-    n = aut.num_states
     amask = aut.accept_mask
-    reach = reachable_from(aut, [aut.init])
-    table = [0] * n
-    queue = deque(s for s in reach if amask[s])
+    edges = aut.edges
+    stop = term or TerminationFlag()
+    reach = set(bfs_order(aut, [aut.init]))
+    table = [0] * aut.num_states
+    # the pops, the table and the first cycle seen all follow the order of
+    # this queue, so it is seeded in the iteration order of the set
+    queue = [s for s in reach if amask[s]]
     pops = len(reach)
-    while queue:
-        u = queue.popleft()
+    for u in queue:  # appended to while iterated: first in, first out
         pops += 1
+        if not pops & 1023 and stop.stopped:
+            break
         val = u + 1 if amask[u] and u + 1 > table[u] else table[u]
-        for t in aut.edges[u]:
+        for t in edges[u]:
             if val > table[t]:
                 if amask[t] and val == t + 1:
                     # t's own id came back around: a cycle through t
                     cycle = cycle_through(aut, t)
-                    stem = bfs_path(aut, aut.init, {t})
+                    stem = bfs_path(aut, aut.init, t)
                     assert cycle is not None and stem is not None
                     return MapResult(Lasso(tuple(stem), tuple(cycle), 0), table, pops, reach)
                 table[t] = val
@@ -71,61 +89,75 @@ def map_pass(aut: BuchiAutomaton) -> MapResult:
     return MapResult(None, table, pops, reach)
 
 
-def owcty(aut: BuchiAutomaton) -> Verdict:
+def owcty(aut: BuchiAutomaton, term: TerminationFlag | None = None) -> Verdict:
     """Full comparator: propagation first, then the shrinking fixpoint.
 
     Verdict extras: owcty_rounds counts fixpoint rounds (0 when the
     propagation pass already decided), map_hits is 1 in exactly that case.
+    Once term is raised the run stops at its next read of the flag and
+    reports no lasso.
     """
     t0 = perf_counter()
-    mr = map_pass(aut)
+    stop = term or TerminationFlag()
+    mr = map_pass(aut, stop)
     pops = mr.pops
-    if mr.lasso is not None:
+
+    def verdict(lasso: Lasso | None, rounds: int, hits: int) -> Verdict:
         stats = WorkStats([WorkerStats(blue_expansions=pops)], perf_counter() - t0)
-        stats.extras["owcty_rounds"] = 0
-        stats.extras["map_hits"] = 1
-        return Verdict(mr.lasso, stats, winner=0)
+        stats.extras["owcty_rounds"] = rounds
+        stats.extras["map_hits"] = hits
+        return Verdict(lasso, stats, winner=None if lasso is None else 0)
+
+    if mr.lasso is not None:
+        return verdict(mr.lasso, 0, 1)
 
     amask = aut.accept_mask
-    candidates = mr.reach
+    edges = aut.edges
+    candidates = list(mr.reach)
+    indeg: list[int] | None = None  # edges into each candidate from candidates
     rounds = 0
-    while candidates:
+    while candidates and not stop.stopped:
         rounds += 1
-        seeds = [s for s in candidates if amask[s]]
-        kept = reachable_from(aut, seeds, allowed=candidates)
+        seen = bytearray(aut.num_states)
+        kept = bfs_order(aut, [s for s in candidates if amask[s]], seen)
         pops += len(kept)
-        # strip states with no predecessor left; they cannot sit on a cycle
-        indeg = dict.fromkeys(kept, 0)
-        for s in kept:
-            for t in aut.edges[s]:
-                if t in indeg:
+        if indeg is None:
+            # counted once, over the first closure; the states it missed
+            # were never counted
+            indeg = [0] * aut.num_states
+            for s in kept:
+                for t in edges[s]:
                     indeg[t] += 1
-        dead = deque(s for s in kept if indeg[s] == 0)
-        while dead:
-            s = dead.popleft()
-            pops += 1
-            kept.discard(s)
-            for t in aut.edges[s]:
-                if t in indeg and t in kept:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        dead.append(t)
-        if kept == candidates:
+        elif len(kept) < len(candidates):
+            for s in candidates:
+                if not seen[s]:
+                    for t in edges[s]:
+                        indeg[t] -= 1
+        if stop.stopped:
             break
-        candidates = kept
+        # strip states with no predecessor left; they cannot sit on a cycle
+        dead = [s for s in kept if not indeg[s]]
+        for s in dead:  # appended to while iterated
+            for t in edges[s]:
+                indeg[t] -= 1
+                if not indeg[t]:
+                    dead.append(t)
+        pops += len(dead)
+        if not dead and len(kept) == len(candidates):
+            break
+        # a stripped state keeps in-degree 0, every other one has more
+        candidates = [s for s in kept if indeg[s]] if dead else kept
 
+    if stop.stopped:
+        return verdict(None, rounds, 0)
     lasso = None
     if candidates:
         for a in sorted(s for s in candidates if amask[s]):
-            cycle = cycle_through(aut, a, candidates)
+            cycle = cycle_through(aut, a)
             if cycle is not None:
-                stem = bfs_path(aut, aut.init, {a})
+                stem = bfs_path(aut, aut.init, a)
                 assert stem is not None
                 lasso = Lasso(tuple(stem), tuple(cycle), 0)
                 break
         assert lasso is not None, "non-empty fixpoint must contain an accepting cycle"
-
-    stats = WorkStats([WorkerStats(blue_expansions=pops)], perf_counter() - t0)
-    stats.extras["owcty_rounds"] = rounds
-    stats.extras["map_hits"] = 0
-    return Verdict(lasso, stats, winner=0 if lasso else None)
+    return verdict(lasso, rounds, 0)

@@ -8,6 +8,7 @@ import pytest
 import cyclone.bench as bench
 from cyclone import (
     CSV_HEADER,
+    BuchiAutomaton,
     InputNotFound,
     InvalidConfig,
     RunConfig,
@@ -159,12 +160,57 @@ def test_watchdog_stops_ndfs_and_leaves_no_thread(monkeypatch):
     assert not [t for t in threading.enumerate() if t.name == "bench-ndfs"]
 
 
+def _onion(layers: int) -> BuchiAutomaton:
+    # layer k is accepting 3k -> 3k+1 <-> 3k+2 -> 3k+3: no accepting cycle,
+    # and owcty's fixpoint peels one layer per round, so its work grows
+    # with the square of the layer count
+    edges = []
+    for k in range(layers):
+        edges += [[3 * k + 1], [3 * k + 2], [3 * k + 1] + ([3 * k + 3] if k + 1 < layers else [])]
+    return BuchiAutomaton(3 * layers, 0, frozenset(range(0, 3 * layers, 3)), edges)
+
+
+def test_watchdog_stops_owcty_and_leaves_no_thread():
+    small = execute(_onion(40), "owcty", timeout=0)
+    assert small.lasso is None
+    assert small.stats.extras["owcty_rounds"] == 41  # one more drops the last ring
+    # about 24 million fixpoint pops: seconds of work, against 0.2 s
+    a = _onion(4000)
+    t0 = time.perf_counter()
+    with pytest.raises(WatchdogTimeout):
+        execute(a, "owcty", timeout=0.2)
+    assert time.perf_counter() - t0 < 2.0
+    assert not [t for t in threading.enumerate() if t.name == "bench-owcty"]
+
+
 def test_watchdog_budget_comes_from_environment(monkeypatch):
     monkeypatch.setenv("CYCLONE_WATCHDOG_SECS", "123.5")
     assert bench.watchdog_secs() == 123.5
     monkeypatch.setenv("CYCLONE_WATCHDOG_SECS", "soon")
     with pytest.raises(InvalidConfig):
         bench.watchdog_secs()
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "Infinity"])
+def test_non_finite_environment_budget_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv("CYCLONE_WATCHDOG_SECS", raw)
+    with pytest.raises(InvalidConfig, match=repr(raw)):
+        bench.watchdog_secs()
+    with pytest.raises(InvalidConfig):
+        execute(resolve_input("lasso:1:1:acc"), "ndfs")
+
+
+@pytest.mark.parametrize("secs", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_timeout_is_rejected(secs):
+    with pytest.raises(InvalidConfig, match="not a finite number"):
+        execute(resolve_input("lasso:1:1:acc"), "ndfs", timeout=secs)
+
+
+def test_unreadable_input_file_is_input_not_found(tmp_path):
+    p = tmp_path / "x.aut"
+    p.write_bytes(b"states 1\ninit 0\n\xff\xfe\n")
+    with pytest.raises(InputNotFound, match="cannot read"):
+        resolve_input(str(p))
 
 
 def test_invalid_lasso_is_reported_not_recorded(monkeypatch):

@@ -83,6 +83,38 @@ def test_watchdog_timeout_exits_three(monkeypatch, capsys):
     assert "timeout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("secs", ["inf", "nan"])
+def test_non_finite_timeout_exits_one(capsys, secs):
+    assert cli.main(["check", "lasso:2:3:acc", "--timeout", secs]) == 1
+    assert f"bad timeout {secs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan"])
+def test_non_finite_watchdog_environment_exits_one(monkeypatch, capsys, raw):
+    monkeypatch.setenv("CYCLONE_WATCHDOG_SECS", raw)
+    assert cli.main(["check", "lasso:2:3:acc"]) == 1
+    assert f"CYCLONE_WATCHDOG_SECS {raw!r}" in capsys.readouterr().err
+
+
+def test_value_error_inside_a_run_is_not_an_input_error(monkeypatch):
+    def broken(aut, *args, **kwargs):
+        raise ValueError("detector bug")
+
+    monkeypatch.setattr(cli, "execute", broken)
+    with pytest.raises(ValueError, match="detector bug"):
+        cli.main(["check", "lasso:2:3:acc"])
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    assert cli.main(["gen", "lasso:1:1:acc", "-o", str(tmp_path / "no" / "such" / "dir")]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_bad_worker_list_exits_one(tmp_path, capsys):
+    assert cli.main(["bench", "lasso:1:1:acc", "--workers", "1,x", "-o", str(tmp_path / "r.csv")]) == 1
+    assert "error" in capsys.readouterr().err
+
+
 def test_bench_writes_records_and_aggregates(tmp_path, capsys):
     rec = tmp_path / "rec.csv"
     agg = tmp_path / "agg.csv"
@@ -133,6 +165,20 @@ def test_dist_writes_model_table_csv(tmp_path, capsys):
     assert lines[2].startswith("2,2.500000000,")
     # speedup column for n=2 is em(1)/em(2) = 3/2.5
     assert lines[2].endswith("1.200000")
+
+
+@pytest.mark.parametrize("text, ns, message", [
+    ("2.0\n-1.0\n", "2", "bad sample"),
+    ("2.0\nslow\n", "2", "could not convert"),
+    ("input,alg,workers\nx,ndfs,1\n", "2", "no wall_time_s field"),
+    ("2.0\n4.0\n", "1,x", "invalid literal"),
+    ("2.0\n4.0\n", "0", "swarm sizes must be >= 1"),
+])
+def test_dist_rejects_bad_samples_and_sizes(tmp_path, capsys, text, ns, message):
+    raw = tmp_path / "times.txt"
+    raw.write_text(text)
+    assert cli.main(["dist", str(raw), "--n", ns]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_dist_with_no_matching_rows_exits_one(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given
 
 from cyclone import (
     BuchiAutomaton,
+    TerminationFlag,
     gen_lasso,
     gen_needle,
     gen_random,
@@ -40,6 +41,16 @@ def test_expansions_count_the_reachable_closure():
     v = owcty(a)
     assert v.stats.extras["map_hits"] == 1
     assert v.stats.total_expansions >= len(reach)
+
+
+def test_raised_stop_flag_ends_the_fixpoint_before_its_first_round():
+    a = gen_lasso(2, 3, False)
+    term = TerminationFlag()
+    term.set()
+    v = owcty(a, term=term)
+    assert v.lasso is None
+    assert v.stats.extras["owcty_rounds"] == 0
+    assert owcty(a).stats.extras["owcty_rounds"] == 2
 
 
 def test_propagation_table_frozen():
