@@ -171,21 +171,22 @@ def _cmd_bench(args) -> int:
 
 
 def _read_samples(path: str, alg: str | None, inp: str | None) -> list[float]:
-    text = Path(path).read_text()
-    first = text.splitlines()[0] if text.strip() else ""
-    if first.startswith("input,alg,"):
+    lines = Path(path).read_text().splitlines()
+    # a bench CSV may follow blank lines; its header is the first text
+    head = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    if head < len(lines) and lines[head].startswith("input,alg,"):
         out = []
-        reader = csv.DictReader(text.splitlines())
+        reader = csv.DictReader(lines[head:])
         for row in reader:
             if alg is not None and row["alg"] != alg:
                 continue
             if inp is not None and row["input"] != inp:
                 continue
             if row.get("wall_time_s") is None:
-                raise ValueError(f"{path} line {reader.line_num}: no wall_time_s field")
+                raise ValueError(f"{path} line {head + reader.line_num}: no wall_time_s field")
             out.append(float(row["wall_time_s"]))
         return out
-    return [float(tok) for line in text.splitlines() for tok in line.split("#", 1)[0].split()]
+    return [float(tok) for line in lines for tok in line.split("#", 1)[0].split()]
 
 
 def _cmd_dist(args) -> int:

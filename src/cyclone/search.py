@@ -30,15 +30,31 @@ the allred extension of ndfs and optimistic is plain ndfs.  A private
 call has a single plane, which serves as both the blocking and the red
 one.
 
-Two costs stay off the hot path.  A search yields the interpreter only
+Three costs stay off the hot path.  A search yields the interpreter only
 when its caller says sibling workers race it; a lone worker still checks
 its stop flag at every step but never sleeps.  A permuted search hashes
 only states with at least two successors, because a list of zero or one
-has no order to permute.
+has no order to permute; such a list, and every list of a canonical
+search, is taken straight from the automaton.  And a permuted search
+hashes and permutes a list only when at least two of its successors are
+live when the state is pushed, that is, can still change the search:
+
+- blue: cyan, or unblocked and either white or under allred;
+- allred red: cyan, or neither pink nor blocked;
+- optimistic red: cyan, or not red.
+
+Otherwise the list is searched in canonical order, with the same result
+as the permuted one.  Flag planes only gain flags and colors are
+private, so a successor that is not live when the list is built stays
+so, and iterating over it does nothing; with at most one live successor,
+where it sits among the others cannot matter.  Under allred every
+unblocked successor counts as live, because the allred check reads each
+successor as it is iterated.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from time import perf_counter
 from time import sleep as _time_sleep
@@ -90,6 +106,42 @@ def _pick_fresh(todo: list[int], visited: bytearray) -> int:
             j = k
             break
     return todo.pop(j)
+
+
+def _blue_order(s, succs, key, colors, blk, allred, copy) -> list[int]:
+    """The successors of s, just pushed in blue, in the order to search them.
+
+    They are permuted under key only when at least two are live: cyan, or
+    unblocked and either white or under allred.  copy asks for a list of
+    its own, which _pick_fresh consumes.
+    """
+    out = succs
+    if key is not None:
+        live = False
+        for t in succs:
+            c = colors[t]
+            if c == WHITE and not blk[t] or c == CYAN or allred and not blk[t]:
+                if live:
+                    out = permute(succs, state_hash(key, s))
+                    break
+                live = True
+    return list(out) if copy and out is succs else out
+
+
+def _red_order(s, succs, key, colors, stop_red, copy) -> list[int]:
+    """The same for s just pushed in red: live is cyan, or neither pink nor
+    set in stop_red, the plane that stops the red search."""
+    out = succs
+    if key is not None:
+        live = False
+        for t in succs:
+            c = colors[t]
+            if c != PINK and not stop_red[t] or c == CYAN:
+                if live:
+                    out = permute(succs, state_hash(key, s))
+                    break
+                live = True
+    return list(out) if copy and out is succs else out
 
 
 def _splice(stem_prefix, bpath, ti, cyc, amask) -> Lasso:
@@ -158,13 +210,14 @@ def nested_search(
     blue_exp = red_exp = waits = dangerous = 0
     maxd = ws.max_stack_depth
 
-    def expand(s: int, key) -> list[int]:
-        lst = post[s]
-        if key is not None and len(lst) > 1:
-            lst = permute(lst, state_hash(key, s))
-        if visited is not None and lst is post[s]:
-            lst = list(lst)  # _pick_fresh consumes the list
-        return lst
+    # A successor list shorter than its cut is used as it is, straight from
+    # post: it has no order to permute and no copy to make for _pick_fresh.
+    copy = visited is not None
+    blue_cut = 0 if copy else sys.maxsize if key_blue is None else 2
+    red_cut = 0 if copy else sys.maxsize if key_red is None else 2
+    # the allred red search stops at blocked states, the optimistic one at
+    # red states; only allred colors states pink
+    stop_red = blk if allred else red
 
     try:
         if colors[root] != WHITE or blk[root]:
@@ -176,7 +229,10 @@ def nested_search(
         if seen is not None:
             seen[root] = 1
         # frame: [state, todo, idx, every successor came back blocked]
-        frames = [[root, expand(root, key_blue), 0, True]]
+        succ = post[root]
+        if len(succ) >= blue_cut:
+            succ = _blue_order(root, succ, key_blue, colors, blk, allred, copy)
+        frames = [[root, succ, 0, True]]
         maxd = max(maxd, 1)
         tick = 0
         while frames:
@@ -213,7 +269,10 @@ def nested_search(
                         visited[t] = 1
                     if seen is not None:
                         seen[t] = 1
-                    frames.append([t, expand(t, key_blue), 0, True])
+                    succ = post[t]
+                    if len(succ) >= blue_cut:
+                        succ = _blue_order(t, succ, key_blue, colors, blk, allred, copy)
+                    frames.append([t, succ, 0, True])
                     if len(frames) > maxd:
                         maxd = len(frames)
                 elif allred and not blk[t]:
@@ -232,7 +291,10 @@ def nested_search(
                         store.counter_adjust(s, 1)
                     colors[s] = PINK
                     red_exp += 1
-                    rframes = [[s, expand(s, key_red), 0]]
+                    succ = post[s]
+                    if len(succ) >= red_cut:
+                        succ = _red_order(s, succ, key_red, colors, stop_red, copy)
+                    rframes = [[s, succ, 0]]
                     while rframes:
                         if stop.stopped:
                             return STOPPED
@@ -269,7 +331,10 @@ def nested_search(
                             red_exp += 1
                             if seen is not None:
                                 seen[t] = 1
-                            rframes.append([t, expand(t, key_red), 0])
+                            succ = post[t]
+                            if len(succ) >= red_cut:
+                                succ = _red_order(t, succ, key_red, colors, stop_red, copy)
+                            rframes.append([t, succ, 0])
                             d = len(frames) + len(rframes)
                             if d > maxd:
                                 maxd = d
@@ -283,7 +348,10 @@ def nested_search(
                     cand = [s] if shared else None
                     pink[s] = 1
                     red_exp += 1
-                    rframes = [[s, expand(s, key_red), 0]]
+                    succ = post[s]
+                    if len(succ) >= red_cut:
+                        succ = _red_order(s, succ, key_red, colors, stop_red, copy)
+                    rframes = [[s, succ, 0]]
                     while rframes:
                         if stop.stopped:
                             return STOPPED
@@ -320,7 +388,10 @@ def nested_search(
                                 red_exp += 1
                                 if seen is not None:
                                     seen[t] = 1
-                                rframes.append([t, expand(t, key_red), 0])
+                                succ = post[t]
+                                if len(succ) >= red_cut:
+                                    succ = _red_order(t, succ, key_red, colors, stop_red, copy)
+                                rframes.append([t, succ, 0])
                                 d = len(frames) + len(rframes)
                                 if d > maxd:
                                     maxd = d

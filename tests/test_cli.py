@@ -147,6 +147,24 @@ def test_dist_reads_bench_csv_and_plain_files(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("N=2 expected=2.500000")
 
 
+def test_dist_finds_bench_csv_header_after_blank_lines(tmp_path, capsys):
+    rec = tmp_path / "rec.csv"
+    assert cli.main(["bench", "lasso:2:3:acc", "--algs", "ndfs", "--repeats", "3",
+                     "-o", str(rec)]) == 0
+    capsys.readouterr()
+    assert cli.main(["dist", str(rec), "--n", "1,4"]) == 0
+    want = capsys.readouterr().out
+    padded = tmp_path / "padded.csv"
+    padded.write_text("\n  \n" + rec.read_text())
+    assert cli.main(["dist", str(padded), "--n", "1,4"]) == 0
+    assert capsys.readouterr().out == want
+    # a missing field is reported at its line in the file
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\ninput,alg,workers\nx,ndfs,1\n")
+    assert cli.main(["dist", str(bad), "--n", "2"]) == 1
+    assert "line 3: no wall_time_s field" in capsys.readouterr().err
+
+
 def test_dist_skips_comments_in_plain_files(tmp_path, capsys):
     raw = tmp_path / "times.txt"
     raw.write_text("# wall times in seconds\n2.0\n4.0  # slow run\n")
