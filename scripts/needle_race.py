@@ -16,8 +16,9 @@ expected minimum.
 import argparse
 import statistics
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cyclone import EmpiricalDistribution, gen_needle, swarm_ndfs
 

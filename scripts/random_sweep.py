@@ -9,8 +9,9 @@ and the per-cell aggregates to CSV.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cyclone import ALGORITHM_TABLE, RunConfig, sweep, write_csv, write_sweep_csv
 

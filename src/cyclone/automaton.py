@@ -177,11 +177,10 @@ class OrderKind(IntEnum):
 
 @dataclass(frozen=True, slots=True)
 class SuccessorOrder:
-    """Names one deterministic permutation family: (worker, seed, kind)."""
+    """Names one worker's blue and red successor orders: (worker, seed)."""
 
     worker_id: int
     seed: int
-    kind: OrderKind = OrderKind.BLUE
 
 
 def _mix(h: int) -> int:

@@ -112,20 +112,9 @@ class RunConfig:
     allred: bool = False
 
     def __post_init__(self) -> None:
-        alg = _algorithm(self.algorithm)
-        if self.workers < 1:
-            raise InvalidConfig(f"workers must be >= 1, got {self.workers}")
+        _checked(self.algorithm, self.workers, self.seed, self.heuristic, self.allred)
         if self.repeats < 1:
             raise InvalidConfig(f"repeats must be >= 1, got {self.repeats}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        if not alg.lenient:
-            if self.workers > 1 and not alg.parallel:
-                raise InvalidConfig(f"{self.algorithm} is sequential, workers must be 1")
-            if self.heuristic and not alg.heuristic:
-                raise InvalidConfig(f"heuristic ordering not supported by {self.algorithm}")
-        if self.allred and not alg.allred:
-            raise InvalidConfig(f"allred is not a flag of {self.algorithm}")
 
 
 @dataclass(slots=True)
@@ -157,12 +146,29 @@ class BenchRecord:
         ]
 
 
-def _algorithm(name: str) -> Algorithm:
-    """The table row of an algorithm name; InvalidConfig for an unknown one."""
+def _checked(name: str, workers: int, seed: int, heuristic: bool, allred: bool) -> Algorithm:
+    """The table row of an algorithm, once its run options are checked.
+
+    InvalidConfig for an unknown name, fewer than one worker, a negative
+    seed, or a worker count, heuristic or allred the algorithm does not
+    take; a lenient algorithm ignores a worker count or heuristic instead.
+    """
     try:
-        return ALGORITHM_TABLE[name]
+        alg = ALGORITHM_TABLE[name]
     except KeyError:
         raise InvalidConfig(f"unknown algorithm {name!r}") from None
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    if not alg.lenient:
+        if workers > 1 and not alg.parallel:
+            raise InvalidConfig(f"{name} is sequential, workers must be 1")
+        if heuristic and not alg.heuristic:
+            raise InvalidConfig(f"heuristic ordering not supported by {name}")
+    if allred and not alg.allred:
+        raise InvalidConfig(f"allred is not a flag of {name}")
+    return alg
 
 
 def resolve_input(spec: str) -> BuchiAutomaton:
@@ -222,14 +228,15 @@ def execute(
 
     timeout=None takes the environment budget; a non-positive timeout
     disables the watchdog and runs inline, and a non-finite one is
-    rejected with InvalidConfig.  A pre-built store may be
-    passed for the shared-color algorithms to inspect colors afterwards.
+    rejected with InvalidConfig, as are an unknown algorithm and an
+    option it does not take.  A pre-built store may be passed for the
+    shared-color algorithms to inspect colors afterwards.
     """
     if timeout is None:
         timeout = watchdog_secs()
     elif not math.isfinite(timeout):
         raise InvalidConfig(f"bad timeout {timeout}: not a finite number of seconds")
-    alg = _algorithm(algorithm)
+    alg = _checked(algorithm, workers, seed, heuristic, allred)
     if not alg.shared:
         store = None
     elif store is None:

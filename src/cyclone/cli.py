@@ -118,17 +118,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    # reuse config validation for flag/algorithm mismatches
-    cfg = RunConfig(args.alg, args.input, workers=args.workers, seed=args.seed,
-                    repeats=1, heuristic=args.heuristic, allred=args.allred)
     aut = resolve_input(args.input)
     store = None
     if args.dump_colors:
         if not ALGORITHM_TABLE[args.alg].shared:
             raise InvalidConfig(f"{args.alg} has no shared color table to dump")
         store = ColorStore(aut.num_states, aut.accepting)
-    v = execute(aut, cfg.algorithm, cfg.workers, cfg.seed, cfg.heuristic,
-                cfg.allred, timeout=args.timeout, store=store)
+    v = execute(aut, args.alg, args.workers, args.seed, args.heuristic,
+                args.allred, timeout=args.timeout, store=store)
     if args.dump_colors:
         with _user_data():
             Path(args.dump_colors).write_text(store.dump_csv())

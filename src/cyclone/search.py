@@ -32,12 +32,16 @@ one.
 
 Three costs stay off the hot path.  A search yields the interpreter only
 when its caller says sibling workers race it; a lone worker still checks
-its stop flag at every step but never sleeps.  A permuted search hashes
-only states with at least two successors, because a list of zero or one
-has no order to permute; such a list, and every list of a canonical
-search, is taken straight from the automaton.  And a permuted search
-hashes and permutes a list only when at least two of its successors are
-live when the state is pushed, that is, can still change the search:
+its stop flag at every step but never sleeps.  Each frame holds an
+iterator over its successors, picked once when the state is pushed, so
+a step is one next() call: a list iterator, or under the fresh-successor
+bias (--heuristic, prefer successors no worker has visited yet) a
+generator that consumes a copy of the list.  A list of zero or one
+successors has nothing to reorder, so it is iterated straight from the
+automaton without a hash or a copy, as is every list of a canonical
+search without the bias.  And a permuted search hashes and permutes a
+list only when at least two of its successors are live when the state
+is pushed, that is, can still change the search:
 
 - blue: cyan, or unblocked and either white or under allred;
 - allred red: cyan, or neither pink nor blocked;
@@ -91,29 +95,29 @@ def worker_keys(w: int, seed: int) -> tuple[int, int]:
     return order_key(w, seed, OrderKind.BLUE), order_key(w, seed, OrderKind.RED)
 
 
-def _pick_fresh(todo: list[int], visited: bytearray) -> int:
-    """Next successor under the fresh-successor bias, consuming it from todo.
+def _fresh(todo: list[int], visited: bytearray):
+    """Consume todo under the fresh-successor bias.
 
-    Takes the first globally unvisited entry in permuted order, falling
-    back to the first remaining one.  Re-evaluated at every advance so the
-    bias sees discoveries made after the list was built.
+    Yields the first globally unvisited entry left in todo, falling back
+    to the first remaining one.  Each pick is made when the search asks
+    for the next successor, so the bias sees discoveries made after the
+    list was built.
     """
-    if not todo:
-        return -1
-    j = 0
-    for k in range(len(todo)):
-        if not visited[todo[k]]:
-            j = k
-            break
-    return todo.pop(j)
+    while todo:
+        for k, t in enumerate(todo):
+            if not visited[t]:
+                break
+        else:
+            k = 0
+        yield todo.pop(k)
 
 
-def _blue_order(s, succs, key, colors, blk, allred, copy) -> list[int]:
+def _blue_order(s, succs, key, colors, blk, allred, visited):
     """The successors of s, just pushed in blue, in the order to search them.
 
     They are permuted under key only when at least two are live: cyan, or
-    unblocked and either white or under allred.  copy asks for a list of
-    its own, which _pick_fresh consumes.
+    unblocked and either white or under allred.  With visited the result
+    is a _fresh generator over a list of its own, else a list.
     """
     out = succs
     if key is not None:
@@ -125,10 +129,12 @@ def _blue_order(s, succs, key, colors, blk, allred, copy) -> list[int]:
                     out = permute(succs, state_hash(key, s))
                     break
                 live = True
-    return list(out) if copy and out is succs else out
+    if visited is None:
+        return out
+    return _fresh(list(out) if out is succs else out, visited)
 
 
-def _red_order(s, succs, key, colors, stop_red, copy) -> list[int]:
+def _red_order(s, succs, key, colors, stop_red, visited):
     """The same for s just pushed in red: live is cyan, or neither pink nor
     set in stop_red, the plane that stops the red search."""
     out = succs
@@ -141,7 +147,9 @@ def _red_order(s, succs, key, colors, stop_red, copy) -> list[int]:
                     out = permute(succs, state_hash(key, s))
                     break
                 live = True
-    return list(out) if copy and out is succs else out
+    if visited is None:
+        return out
+    return _fresh(list(out) if out is succs else out, visited)
 
 
 def _splice(stem_prefix, bpath, ti, cyc, amask) -> Lasso:
@@ -210,11 +218,11 @@ def nested_search(
     blue_exp = red_exp = waits = dangerous = 0
     maxd = ws.max_stack_depth
 
-    # A successor list shorter than its cut is used as it is, straight from
-    # post: it has no order to permute and no copy to make for _pick_fresh.
-    copy = visited is not None
-    blue_cut = 0 if copy else sys.maxsize if key_blue is None else 2
-    red_cut = 0 if copy else sys.maxsize if key_red is None else 2
+    # A successor list shorter than its cut is searched straight from post:
+    # with no key and no bias nothing reorders it, and a list of 0-1
+    # successors has no order to change.
+    blue_cut = sys.maxsize if key_blue is None and visited is None else 2
+    red_cut = sys.maxsize if key_red is None and visited is None else 2
     # the allred red search stops at blocked states, the optimistic one at
     # red states; only allred colors states pink
     stop_red = blk if allred else red
@@ -228,11 +236,12 @@ def nested_search(
             visited[root] = 1
         if seen is not None:
             seen[root] = 1
-        # frame: [state, todo, idx, every successor came back blocked]
+        # blue frame: [state, successor iterator, every successor came back
+        # blocked]; red frame: [state, successor iterator]
         succ = post[root]
         if len(succ) >= blue_cut:
-            succ = _blue_order(root, succ, key_blue, colors, blk, allred, copy)
-        frames = [[root, succ, 0, True]]
+            succ = _blue_order(root, succ, key_blue, colors, blk, allred, visited)
+        frames = [[root, iter(succ), True]]
         maxd = max(maxd, 1)
         tick = 0
         while frames:
@@ -244,16 +253,7 @@ def nested_search(
                     # give racing workers a fair slice of the interpreter
                     _yield()
             f = frames[-1]
-            todo = f[1]
-            if visited is None:
-                i = f[2]
-                if i < len(todo):
-                    t = todo[i]
-                    f[2] = i + 1
-                else:
-                    t = -1
-            else:
-                t = _pick_fresh(todo, visited)
+            t = next(f[1], -1)
             if t >= 0:
                 s = f[0]
                 c = colors[t]
@@ -271,19 +271,19 @@ def nested_search(
                         seen[t] = 1
                     succ = post[t]
                     if len(succ) >= blue_cut:
-                        succ = _blue_order(t, succ, key_blue, colors, blk, allred, copy)
-                    frames.append([t, succ, 0, True])
+                        succ = _blue_order(t, succ, key_blue, colors, blk, allred, visited)
+                    frames.append([t, iter(succ), True])
                     if len(frames) > maxd:
                         maxd = len(frames)
                 elif allred and not blk[t]:
-                    f[3] = False
+                    f[2] = False
                 continue
 
             # successors exhausted: backtrack s
             s = f[0]
             colors[s] = LOCAL_BLUE
             if allred:
-                if f[3]:  # every successor came back blocked
+                if f[2]:  # every successor came back blocked
                     blk[s] = 1
                 elif amask[s]:
                     # counter-protected red search, rooted at s
@@ -293,22 +293,13 @@ def nested_search(
                     red_exp += 1
                     succ = post[s]
                     if len(succ) >= red_cut:
-                        succ = _red_order(s, succ, key_red, colors, stop_red, copy)
-                    rframes = [[s, succ, 0]]
+                        succ = _red_order(s, succ, key_red, colors, stop_red, visited)
+                    rframes = [[s, iter(succ)]]
                     while rframes:
                         if stop.stopped:
                             return STOPPED
                         rf = rframes[-1]
-                        rtodo = rf[1]
-                        if visited is None:
-                            i = rf[2]
-                            if i < len(rtodo):
-                                t = rtodo[i]
-                                rf[2] = i + 1
-                            else:
-                                t = -1
-                        else:
-                            t = _pick_fresh(rtodo, visited)
+                        t = next(rf[1], -1)
                         if t < 0:
                             rframes.pop()
                             u = rf[0]
@@ -333,13 +324,13 @@ def nested_search(
                                 seen[t] = 1
                             succ = post[t]
                             if len(succ) >= red_cut:
-                                succ = _red_order(t, succ, key_red, colors, stop_red, copy)
-                            rframes.append([t, succ, 0])
+                                succ = _red_order(t, succ, key_red, colors, stop_red, visited)
+                            rframes.append([t, iter(succ)])
                             d = len(frames) + len(rframes)
                             if d > maxd:
                                 maxd = d
                 if len(frames) > 1 and not blk[s]:
-                    frames[-2][3] = False  # the parent's allred conjunction
+                    frames[-2][2] = False  # the parent's allred conjunction
             else:
                 if shared:
                     blk[s] = 1
@@ -350,22 +341,13 @@ def nested_search(
                     red_exp += 1
                     succ = post[s]
                     if len(succ) >= red_cut:
-                        succ = _red_order(s, succ, key_red, colors, stop_red, copy)
-                    rframes = [[s, succ, 0]]
+                        succ = _red_order(s, succ, key_red, colors, stop_red, visited)
+                    rframes = [[s, iter(succ)]]
                     while rframes:
                         if stop.stopped:
                             return STOPPED
                         rf = rframes[-1]
-                        rtodo = rf[1]
-                        if visited is None:
-                            i = rf[2]
-                            if i < len(rtodo):
-                                t = rtodo[i]
-                                rf[2] = i + 1
-                            else:
-                                t = -1
-                        else:
-                            t = _pick_fresh(rtodo, visited)
+                        t = next(rf[1], -1)
                         if t < 0:
                             rframes.pop()
                             continue
@@ -390,8 +372,8 @@ def nested_search(
                                     seen[t] = 1
                                 succ = post[t]
                                 if len(succ) >= red_cut:
-                                    succ = _red_order(t, succ, key_red, colors, stop_red, copy)
-                                rframes.append([t, succ, 0])
+                                    succ = _red_order(t, succ, key_red, colors, stop_red, visited)
+                                rframes.append([t, iter(succ)])
                                 d = len(frames) + len(rframes)
                                 if d > maxd:
                                     maxd = d
@@ -475,9 +457,8 @@ def ndfs(
 ) -> Verdict:
     """Sequential accepting-cycle detector.
 
-    order picks the successor permutation (canonical order when None); its
-    kind field is ignored because the blue and red orders both derive from
-    the same worker and seed.  allred enables the extension that promotes
+    order picks the successor permutations (canonical order when None);
+    the blue and red orders both derive from its worker and seed.  allred enables the extension that promotes
     a state to red when every successor came back red, skipping provably
     redundant red searches.  term may inject an external termination flag
     (the bench watchdog uses this).

@@ -71,6 +71,22 @@ def test_config_validation():
         RunConfig("ndfs", "x", repeats=0)
 
 
+def test_execute_enforces_the_algorithm_table():
+    # the checks of RunConfig, so a direct call drops no option silently
+    a = gen_lasso(1, 1, True)
+    for alg, opts in (
+        ("magic", {}),
+        ("ndfs", {"workers": 0}),
+        ("ndfs", {"workers": 4}),
+        ("ndfs", {"seed": -1}),
+        ("endfs", {"heuristic": True}),
+        ("swarm", {"allred": True}),
+    ):
+        with pytest.raises(InvalidConfig):
+            execute(a, alg, timeout=0, **opts)
+    assert execute(a, "owcty", 8, heuristic=True, timeout=0).lasso is not None
+
+
 def test_comparator_ignores_worker_count():
     records = run(RunConfig("owcty", "lasso:2:3:noacc", workers=8, repeats=1), timeout=0)
     assert records[0].verdict == "NO-CYCLE"

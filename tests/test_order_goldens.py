@@ -20,6 +20,7 @@ from cyclone import (
     SuccessorOrder,
     TerminationFlag,
     WorkerStats,
+    lndfs,
     ndfs,
     order_key,
     swarm_ndfs,
@@ -187,6 +188,31 @@ def test_permuted_searches_on_layered_graphs_are_frozen():
     # as dense as verify-layered, where most lists skip the permutation
     assert max(degrees) == 9
     assert sum(d >= 3 for d in degrees) > len(degrees) // 4
+
+
+# k: one-worker lndfs under the fresh-successor bias, detector seed k.
+# Worker 0 searches in canonical order, so only the bias reorders its
+# lists; on graphs 9, 13 and 17 that changes the search.
+_GOLDEN_LNDFS_HEURISTIC = {
+    0: (None, 360, 155, 36),
+    1: ('ec0f64a57dbc', 150, 9, 69),
+    2: (None, 2400, 1111, 98),
+    3: ('efc4da0fb735', 98, 7, 60),
+    4: (None, 720, 305, 57),
+    5: ('7ed7969fbb45', 118, 0, 72),
+    6: (None, 720, 341, 48),
+    7: ('42fe80855ab0', 191, 2, 98),
+    9: ('7b9b7a319c00', 72, 3, 38),
+    13: ('419c2c6518c7', 127, 0, 76),
+    17: ('a7901f456eca', 246, 15, 104),
+}
+
+
+def test_one_worker_heuristic_lndfs_is_frozen():
+    for k, want in _GOLDEN_LNDFS_HEURISTIC.items():
+        a = _graph(k)
+        v = lndfs(a, 1, k, heuristic=True)
+        assert _run(a, v.lasso, v.stats.workers[0]) == want, k
 
 
 def test_permute_skips_lists_with_at_most_one_live_successor(monkeypatch):
