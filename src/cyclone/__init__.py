@@ -18,7 +18,6 @@ from .automaton import (
 )
 from .bench import (
     ALGORITHM_TABLE,
-    ALGORITHMS,
     CSV_HEADER,
     BenchRecord,
     InputNotFound,
@@ -35,7 +34,6 @@ from .bench import (
     write_sweep_csv,
 )
 from .colors import (
-    AwaitResult,
     ColorStore,
     ReporterSlot,
     TerminationFlag,
@@ -60,9 +58,7 @@ from .swarm import swarm_ndfs
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
     "ALGORITHM_TABLE",
-    "AwaitResult",
     "BenchRecord",
     "BuchiAutomaton",
     "CSV_HEADER",

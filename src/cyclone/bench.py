@@ -75,8 +75,6 @@ ALGORITHM_TABLE: dict[str, Algorithm] = {
     "owcty": Algorithm(lambda aut, term, **_: owcty(aut, term=term), lenient=True),
 }
 
-ALGORITHMS = tuple(ALGORITHM_TABLE)
-
 CSV_HEADER = (
     "input,alg,workers,seed,repeat,verdict,wall_time_s,blue_exp,red_exp,"
     "repair_exp,dangerous_count,waits,helper_joins,owcty_rounds,map_hits"

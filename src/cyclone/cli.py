@@ -24,7 +24,6 @@ from pathlib import Path
 from .automaton import DanglingStateId, DuplicateEdge, MalformedHeader, ZeroCycle
 from .bench import (
     ALGORITHM_TABLE,
-    ALGORITHMS,
     InputNotFound,
     InvalidConfig,
     RunConfig,
@@ -76,7 +75,7 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("check", help="decide one input with one detector")
     c.add_argument("input")
-    c.add_argument("--alg", default="ndfs", choices=ALGORITHMS)
+    c.add_argument("--alg", default="ndfs", choices=ALGORITHM_TABLE)
     c.add_argument("--workers", type=int, default=1)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--heuristic", action="store_true", help="prefer globally unvisited successors")
@@ -206,8 +205,6 @@ def _cmd_dist(args) -> int:
 
 
 def main(argv=None) -> int:
-    # frequent context switches keep the polling loops responsive
-    sys.setswitchinterval(0.001)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

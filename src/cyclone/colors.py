@@ -1,8 +1,13 @@
 """Shared per-state flags, accept counters, and run termination plumbing.
 
-Everything here is safe for unrestricted concurrent use by worker
-threads.  Global flags (red, blue, dangerous, safe) are monotone: once
-set they stay set for the whole run.  Each flag has its own plane, one
+The detectors' workers take turns in one thread and interleave only
+where their searches yield (see search.py), so a run contends for
+nothing here.  The store keeps its locks all the same, because its
+public contract is wider: everything here is safe for unrestricted
+concurrent use by threads, as argued below and held by the tests.
+
+Global flags (red, blue, dangerous, safe) are monotone: once set they
+stay set for the whole run.  Each flag has its own plane, one
 bytearray with a byte per state, so the flags cost 4 bytes per state
 and the engine publishes a flag with a plain store of 1, without a lock.
 That is sound for three reasons:
@@ -14,9 +19,10 @@ That is sound for three reasons:
   that could overwrite a sibling's bit with a stale copy.
 
 The last point is why the planes matter: endfs and nmc write blue, red,
-dangerous and safe to the same state from different workers, and with
-one flag word per state an unlocked read-modify-write could lose a
-dangerous mark, skip its repair and report a wrong no-cycle verdict.
+dangerous and safe to the same state from different workers, and were
+those threads, with one flag word per state an unlocked read-modify-write
+could lose a dangerous mark, skip its repair and report a wrong no-cycle
+verdict.
 Only set_flag still takes a lock, for callers that need to know whether
 they set a flag first (the exact count of dangerous marks).  Under the
 interpreter lock a write that happened before a flag was set is visible
@@ -26,8 +32,6 @@ to any reader that observes the flag.
 from __future__ import annotations
 
 import threading
-import time
-from enum import Enum
 
 RED = 1
 BLUE = 2
@@ -41,11 +45,6 @@ WHITE, CYAN, LOCAL_BLUE, PINK = 0, 1, 2, 3
 
 class UnderflowFault(RuntimeError):
     """An accept counter would have gone negative: a protocol bug."""
-
-
-class AwaitResult(Enum):
-    ZERO = 0
-    TERMINATED = 1
 
 
 class TerminationFlag:
@@ -132,26 +131,6 @@ class ColorStore:
 
     def counter_value(self, state: int) -> int:
         return self._counters.get(state, 0)
-
-    def await_zero(self, state: int, term: TerminationFlag | None = None) -> AwaitResult:
-        """Block until the counter reads zero or the run is terminated.
-
-        Polls with exponential backoff capped at 1 ms, so termination is
-        observed promptly and waiting burns no lock.  term defaults to
-        the store's own flag.
-        """
-        if term is None:
-            term = self.term
-        if self._counters.get(state, 0) == 0:
-            return AwaitResult.ZERO
-        delay = 1e-6
-        while True:
-            if term.stopped:
-                return AwaitResult.TERMINATED
-            if self._counters.get(state, 0) == 0:
-                return AwaitResult.ZERO
-            time.sleep(delay)
-            delay = min(delay * 2, 1e-3)
 
     def dump_csv(self) -> str:
         """Post-mortem view: one 'state,red,blue,dangerous,safe,count' row per state."""

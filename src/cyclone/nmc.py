@@ -5,6 +5,10 @@ a dangerous root is repaired: it opens a shared repair task, and the
 finder roots an allred pass at it; any worker arriving at the same root
 merges in as a helper, and workers whose own pass already completed pick
 open tasks off the board until every pass and every repair is done.
+Each worker is a generator, as the engine is: a repair runs under the
+engine's yield from, and a worker whose pass is done but finds nothing
+open yields its turn to the workers that may still open a task.
+Workers take turns in one thread, so the board needs no lock.
 
 Repairs block on, and publish, their own SAFE flag under the counter
 protocol of lndfs.  They cannot use RED: the optimistic pass promotes a
@@ -23,9 +27,6 @@ most once in blue and once in red.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 from .automaton import BuchiAutomaton
 from .colors import BLUE, SAFE, ColorStore
@@ -54,20 +55,19 @@ def nmc_ndfs(
     if store is None:
         store = ColorStore(aut.num_states, aut.accepting)
     term = store.term
+    racing = n_workers > 1
     repair_seen = bytearray(aut.num_states)
     tasks: dict[int, _RepairTask] = {}
-    board = threading.Lock()
-    mains_done = [0]
+    mains_done = 0
 
     def participate(task: _RepairTask, ws: WorkerStats):
-        with board:
-            pid = task.joiners
-            task.joiners += 1
+        pid = task.joiners
+        task.joiners += 1
         rw = WorkerStats()
-        res = nested_search(
+        res = yield from nested_search(
             aut, rw, term, store=store, block=SAFE, allred=True, root=task.root,
             keys=worker_keys(pid, seed ^ (task.root * 0x1000193)),
-            seen=repair_seen, stem=task.stem,
+            seen=repair_seen, stem=task.stem, racing=racing,
         )
         ws.repair_expansions += rw.blue_expansions + rw.red_expansions
         ws.waits += rw.waits
@@ -76,41 +76,36 @@ def nmc_ndfs(
         return res
 
     def body(w, ws):
+        nonlocal mains_done
+
         def repair(root: int, stem: tuple[int, ...]):
-            with board:
-                task = tasks.get(root)
-                owned = task is None
-                if owned:
-                    task = tasks[root] = _RepairTask(root, stem)
-            if not owned:
+            task = tasks.get(root)
+            if task is None:
+                task = tasks[root] = _RepairTask(root, stem)
+            else:
                 ws.helper_joins += 1
             return participate(task, ws)
 
         keys = (None, None) if w == 0 else worker_keys(w, seed)
-        res = nested_search(aut, ws, term, store=store, block=BLUE, keys=keys, repair=repair)
+        res = yield from nested_search(
+            aut, ws, term, store=store, block=BLUE, keys=keys, racing=racing, repair=repair
+        )
         if res is not None:
             return res
-        with board:
-            mains_done[0] += 1
+        mains_done += 1
         # own pass done: help with whatever repairs are still open
         safe = store.plane(SAFE)
         while not term.stopped:
-            open_task = None
-            with board:
-                for task in tasks.values():
-                    if not safe[task.root]:
-                        open_task = task
-                        break
-                settled = mains_done[0] == n_workers
-            if open_task is not None:
+            task = next((t for t in tasks.values() if not safe[t.root]), None)
+            if task is not None:
                 ws.helper_joins += 1
-                res = participate(open_task, ws)
+                res = yield from participate(task, ws)
                 if res is not None:
                     return res
-            elif settled:
+            elif mains_done == n_workers:
                 return None
             else:
-                time.sleep(1e-4)
+                yield  # the other workers' turn: they may still open repairs
         return STOPPED
 
     v = race(n_workers, term, body)

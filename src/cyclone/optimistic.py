@@ -44,7 +44,7 @@ def endfs(
 
         def repair(root: int, stem: tuple[int, ...]):
             rw = WorkerStats()
-            res = nested_search(
+            res = yield from nested_search(
                 aut, rw, store.term, flags=repair_flags, root=root, colors=repair_colors,
                 keys=repair_keys, seen=repair_seen, stem=stem, racing=n_workers > 1,
             )
@@ -54,7 +54,9 @@ def endfs(
             return res
 
         keys = (None, None) if w == 0 else worker_keys(w, seed)
-        return nested_search(aut, ws, store.term, store=store, block=BLUE, keys=keys, repair=repair)
+        return nested_search(
+            aut, ws, store.term, store=store, block=BLUE, keys=keys, racing=n_workers > 1, repair=repair
+        )
 
     v = race(n_workers, store.term, body)
     v.stats.extras["dangerous_count"] = sum(s.dangerous_marks for s in v.stats.workers)

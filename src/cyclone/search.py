@@ -30,10 +30,18 @@ the allred extension of ndfs and optimistic is plain ndfs.  A private
 call has a single plane, which serves as both the blocking and the red
 one.
 
-Three costs stay off the hot path.  A search yields the interpreter only
-when its caller says sibling workers race it; a lone worker still checks
-its stop flag at every step but never sleeps.  Each frame holds an
-iterator over its successors, picked once when the state is pushed, so
+The search is a generator, and race drives the workers' searches in
+turns in one thread.  A search that races siblings yields every 64
+steps, blue or red; any search yields while it waits for sibling red
+searches to drain an accept counter, and runs a repair with yield from,
+so the repair's own turns pass through.  Between yields a worker runs
+alone, so no step sees a sibling's step half done and a run repeats
+exactly.
+
+Three costs stay off the hot path.  A search counts steps toward a yield
+only when its caller says sibling workers race it; a lone worker still
+checks its stop flag at every step but finishes in one turn.  Each frame
+holds an iterator over its successors, picked once when the state is pushed, so
 a step is one next() call: a list iterator, or under the fresh-successor
 bias (--heuristic, prefer successors no worker has visited yet) a
 generator that consumes a copy of the list.  A list of zero or one
@@ -59,9 +67,7 @@ successor as it is iterated.
 from __future__ import annotations
 
 import sys
-import threading
 from time import perf_counter
-from time import sleep as _time_sleep
 
 from .automaton import BuchiAutomaton, OrderKind, SuccessorOrder, order_key, permute, state_hash
 from .colors import (
@@ -71,7 +77,6 @@ from .colors import (
     PINK,
     RED,
     WHITE,
-    AwaitResult,
     ColorStore,
     ReporterSlot,
     TerminationFlag,
@@ -80,14 +85,6 @@ from .results import Lasso, Verdict, WorkerStats, WorkStats
 
 # Sentinel return: the search unwound because the run was terminated.
 STOPPED = object()
-
-
-def _yield() -> None:
-    # called every 64 steps by a racing search only.  A zero sleep is not
-    # enough: the interpreter hands its lock back to the running thread
-    # before sleeping waiters wake, starving siblings.  The sleep lasts
-    # several times what it asks for, so a lone worker must not pay it.
-    _time_sleep(1e-5)
 
 
 def worker_keys(w: int, seed: int) -> tuple[int, int]:
@@ -178,7 +175,7 @@ def nested_search(
     racing: bool = False,
     repair=None,
 ):
-    """One worker's nested search.  Returns a Lasso, None, or STOPPED.
+    """One worker's nested search, a generator that returns a Lasso, None, or STOPPED.
 
     With a store the search reads and publishes the store's flag planes;
     without one it uses flags, a private plane (fresh when None) that
@@ -191,10 +188,11 @@ def nested_search(
     visited is the shared discovery bitset for the fresh-successor bias,
     seen an optional bitset recording every state this call enters, stem
     a path from the initial state to the root for lassos reported out of
-    rooted calls.  racing says sibling workers run beside this one, so
-    the search yields to them now and then.
-    repair(root, stem) re-examines a dangerous red root of the optimistic
-    search and returns a Lasso, STOPPED, or None when the root is clean.
+    rooted calls.  racing says sibling workers take turns with this one,
+    so the search yields to them every 64 steps.
+    repair(root, stem) is a generator like this one that re-examines a
+    dangerous red root of the optimistic search and returns a Lasso,
+    STOPPED, or None when the root is clean.
     """
     n = aut.num_states
     post = aut.edges
@@ -245,13 +243,12 @@ def nested_search(
         maxd = max(maxd, 1)
         tick = 0
         while frames:
-            if stop.stopped:
-                return STOPPED
             if racing:
                 tick += 1
                 if not tick & 63:
-                    # give racing workers a fair slice of the interpreter
-                    _yield()
+                    yield  # the racing workers' turn
+            if stop.stopped:
+                return STOPPED
             f = frames[-1]
             t = next(f[1], -1)
             if t >= 0:
@@ -296,6 +293,10 @@ def nested_search(
                         succ = _red_order(s, succ, key_red, colors, stop_red, visited)
                     rframes = [[s, iter(succ)]]
                     while rframes:
+                        if racing:
+                            tick += 1
+                            if not tick & 63:
+                                yield
                         if stop.stopped:
                             return STOPPED
                         rf = rframes[-1]
@@ -305,8 +306,10 @@ def nested_search(
                             u = rf[0]
                             if shared and amask[u] and store.counter_adjust(u, -1) != 0:
                                 waits += 1
-                                if store.await_zero(u, stop) is AwaitResult.TERMINATED:
-                                    return STOPPED
+                                while store.counter_value(u):
+                                    if stop.stopped:
+                                        return STOPPED
+                                    yield  # sibling red searches rooted at u
                             blk[u] = 1
                             continue
                         c = colors[t]
@@ -344,6 +347,10 @@ def nested_search(
                         succ = _red_order(s, succ, key_red, colors, stop_red, visited)
                     rframes = [[s, iter(succ)]]
                     while rframes:
+                        if racing:
+                            tick += 1
+                            if not tick & 63:
+                                yield
                         if stop.stopped:
                             return STOPPED
                         rf = rframes[-1]
@@ -382,7 +389,7 @@ def nested_search(
                             if r == s or not dng[r]:
                                 red[r] = 1
                         if dng[s]:
-                            res = repair(s, tuple(fr[0] for fr in frames))
+                            res = yield from repair(s, tuple(fr[0] for fr in frames))
                             if res is not None:
                                 return res
             frames.pop()
@@ -396,56 +403,35 @@ def nested_search(
             ws.max_stack_depth = maxd
 
 
-def run_workers(n_workers: int, body, term: TerminationFlag):
-    """Run body(w) on n_workers threads; re-raise the first worker error.
-
-    A single worker runs inline.  Any exception terminates the run before
-    propagating, so sibling workers unwind instead of running to
-    completion against a broken shared state.
-    """
-    if n_workers == 1:
-        body(0)
-        return
-    errors: list[BaseException] = []
-    go = threading.Event()
-
-    def wrapped(w: int):
-        go.wait()  # no head start for early-spawned workers
-        try:
-            body(w)
-        except BaseException as exc:  # noqa: BLE001 - reported to the caller
-            errors.append(exc)
-            term.set()
-
-    threads = [threading.Thread(target=wrapped, args=(w,), daemon=True) for w in range(n_workers)]
-    for th in threads:
-        th.start()
-    go.set()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-
-
 def race(n_workers: int, term: TerminationFlag, body) -> Verdict:
-    """Race body(w, stats) on n_workers workers to the first lasso.
+    """Race the searches body(w, stats) of n_workers workers to the first lasso.
 
-    body returns a Lasso, None, or STOPPED.  The first Lasso claims the
-    verdict and raises term, so the other workers unwind; a no-cycle
-    verdict needs every worker to finish its pass.
+    body returns a generator like nested_search's, which yields to give
+    the other workers their turn and returns a Lasso, None, or STOPPED.
+    The workers take turns in worker order in this thread, so a run
+    repeats exactly.  The first Lasso claims the verdict and raises term,
+    so the others unwind at their next step; a no-cycle verdict needs
+    every worker to finish its pass.  An error in any worker raises term
+    and propagates.
     """
     if n_workers < 1:
         raise ValueError(f"need at least one worker, got {n_workers}")
     reporter = ReporterSlot(term)
     stats = [WorkerStats() for _ in range(n_workers)]
-
-    def run(w: int):
-        res = body(w, stats[w])
-        if isinstance(res, Lasso):
-            reporter.claim(w, res)
-
     t0 = perf_counter()
-    run_workers(n_workers, run, term)
+    try:
+        live = {w: body(w, stats[w]) for w in range(n_workers)}
+        while live:
+            for w, search in list(live.items()):
+                try:
+                    next(search)
+                except StopIteration as done:
+                    del live[w]
+                    if isinstance(done.value, Lasso):
+                        reporter.claim(w, done.value)
+    except BaseException:
+        term.set()
+        raise
     return Verdict(reporter.lasso, WorkStats(stats, perf_counter() - t0), winner=reporter.worker)
 
 

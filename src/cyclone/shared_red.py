@@ -35,6 +35,8 @@ def lndfs(
 
     def body(w, ws):
         keys = (None, None) if w == 0 else worker_keys(w, seed)
-        return nested_search(aut, ws, store.term, store=store, allred=True, keys=keys, visited=visited)
+        return nested_search(
+            aut, ws, store.term, store=store, allred=True, keys=keys, visited=visited, racing=n_workers > 1
+        )
 
     return race(n_workers, store.term, body)

@@ -1,11 +1,7 @@
-import sys
-
 from hypothesis import HealthCheck, settings
 
-# frequent interpreter switches keep the multi-worker tests honest on
-# few-core machines; per-example deadlines are meaningless under that
-sys.setswitchinterval(0.001)
-
+# a multi-worker run takes as long as all its workers' turns together;
+# a per-example deadline would fail slow examples, not wrong ones
 settings.register_profile(
     "suite",
     deadline=None,

@@ -136,8 +136,8 @@ def test_aggregate_wall_time_is_the_mean_of_repeats():
 
 def test_execute_every_algorithm_once():
     a = resolve_input("random:40:2.0:0.2:3")
-    for alg in bench.ALGORITHMS:
-        v = execute(a, alg, workers=2 if bench.ALGORITHM_TABLE[alg].parallel else 1, timeout=0)
+    for alg, spec in bench.ALGORITHM_TABLE.items():
+        v = execute(a, alg, workers=2 if spec.parallel else 1, timeout=0)
         assert isinstance(v, Verdict)
 
 

@@ -1,13 +1,13 @@
-"""Shared color table: atomicity, counters, and the zero-wait protocol."""
+"""Shared color table: atomicity, counters, and the engine's zero-wait protocol."""
 
 import sys
 import threading
-import time
 
 import pytest
 
-from cyclone import AwaitResult, ColorStore, ReporterSlot, TerminationFlag, UnderflowFault
+from cyclone import BuchiAutomaton, ColorStore, ReporterSlot, TerminationFlag, UnderflowFault, WorkerStats
 from cyclone.colors import BLUE, DANGEROUS, FLAGS, RED, SAFE
+from cyclone.search import STOPPED, nested_search
 
 
 def _spawn(n, target):
@@ -107,38 +107,42 @@ def test_counter_underflow_faults():
         store.counter_adjust(1, -1)
 
 
-def test_await_zero_returns_when_counter_drains():
-    store = ColorStore(2, accepting=[0])
+def _waiting_search():
+    # 0 is accepting and leads into the non-accepting cycle 1 2, so the
+    # allred search backtracks 0 with a successor unblocked and roots a red
+    # search there.  A sibling's red search rooted at 0 is in flight, so
+    # at 0's red backtrack the search must wait before it publishes red.
+    a = BuchiAutomaton(3, 0, frozenset({0}), [[1], [2], [1]])
+    store = ColorStore(a.num_states, a.accepting)
     store.counter_adjust(0, 1)
-    results = []
+    ws = WorkerStats()
+    return store, ws, nested_search(a, ws, store.term, store=store, allred=True)
 
-    def waiter():
-        results.append(store.await_zero(0))
 
-    t = threading.Thread(target=waiter)
-    t.start()
-    time.sleep(0.01)
+def test_counter_wait_yields_until_the_counter_drains():
+    store, ws, search = _waiting_search()
+    for _ in range(3):
+        assert next(search) is None
+        assert store.counter_value(0) == 1
+        assert not store.get_flag(0, RED)
+    assert all(store.get_flag(s, RED) for s in (1, 2))  # the red search is done
     store.counter_adjust(0, -1)
-    t.join(timeout=5)
-    assert not t.is_alive()
-    assert results == [AwaitResult.ZERO]
+    with pytest.raises(StopIteration) as done:
+        next(search)
+    assert done.value.value is None
+    assert store.get_flag(0, RED)
+    assert ws.waits == 1 and (ws.blue_expansions, ws.red_expansions) == (3, 3)
 
 
-def test_await_zero_unblocks_on_termination():
-    store = ColorStore(2, accepting=[0])
-    store.counter_adjust(0, 1)
-    results = []
-
-    def waiter():
-        results.append(store.await_zero(0))
-
-    t = threading.Thread(target=waiter)
-    t.start()
-    time.sleep(0.01)
+def test_counter_wait_stops_on_termination():
+    store, ws, search = _waiting_search()
+    assert next(search) is None
     store.term.set()
-    t.join(timeout=5)
-    assert not t.is_alive()
-    assert results == [AwaitResult.TERMINATED]
+    with pytest.raises(StopIteration) as done:
+        next(search)
+    assert done.value.value is STOPPED
+    assert not store.get_flag(0, RED)
+    assert ws.waits == 1
 
 
 def test_termination_flag_is_sticky():

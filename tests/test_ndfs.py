@@ -23,7 +23,7 @@ from cyclone import (
 )
 from cyclone.colors import BLUE
 from cyclone.search import nested_search
-from strategies import automata
+from strategies import automata, finish
 
 
 def test_no_cycle_run_is_frozen():
@@ -155,12 +155,12 @@ def test_permuted_shared_color_passes_are_frozen():
         keys = (order_key(1, seed, OrderKind.BLUE), order_key(1, seed, OrderKind.RED))
         ws = WorkerStats()
         store = ColorStore(a.num_states, a.accepting)
-        res = nested_search(a, ws, store.term, store=store, allred=True, keys=keys)
+        res = finish(nested_search(a, ws, store.term, store=store, allred=True, keys=keys))
         assert _shape(res) == lasso
         assert (ws.blue_expansions, ws.red_expansions) == lcounts
         ws = WorkerStats()
         store = ColorStore(a.num_states, a.accepting)
-        res = nested_search(a, ws, store.term, store=store, block=BLUE, keys=keys, repair=no_repair)
+        res = finish(nested_search(a, ws, store.term, store=store, block=BLUE, keys=keys, repair=no_repair))
         assert _shape(res) == lasso
         assert (ws.blue_expansions, ws.red_expansions) == ecounts
 
