@@ -33,12 +33,7 @@ from .bench import (
     write_csv,
     write_sweep_csv,
 )
-from .colors import (
-    ColorStore,
-    ReporterSlot,
-    TerminationFlag,
-    UnderflowFault,
-)
+from .colors import ColorStore, ReporterSlot, UnderflowFault
 from .nmc import nmc_ndfs
 from .optimistic import endfs
 from .oracle import (
@@ -77,7 +72,6 @@ __all__ = [
     "RunConfig",
     "SuccessorOrder",
     "SweepRow",
-    "TerminationFlag",
     "UnderflowFault",
     "Verdict",
     "VerdictCorrupt",

@@ -2,10 +2,11 @@
 
 Inputs are either files in the text format of parse_automaton or inline
 generator specs (lasso:STEM:CYC:acc, random:N:DEG:P:SEED,
-needle:WIDTH:DEPTH:SEED).  Each run is wrapped in a watchdog that
-stops the detector through its stop flag and raises WatchdogTimeout; the
-budget comes from CYCLONE_WATCHDOG_SECS (default 60 seconds) and must be
-a finite number of seconds.
+needle:WIDTH:DEPTH:SEED).  Each run gets a deadline, which the detector
+reads between its workers' turns (owcty: between its walks) in the
+calling thread, raising WatchdogTimeout once it has passed.  The budget
+comes from CYCLONE_WATCHDOG_SECS (default 60 seconds) and must be a
+finite number of seconds.
 """
 
 from __future__ import annotations
@@ -13,19 +14,19 @@ from __future__ import annotations
 import csv
 import math
 import os
-import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from statistics import fmean
+from time import perf_counter
 
 from .automaton import BuchiAutomaton, SuccessorOrder, gen_lasso, gen_needle, gen_random, parse_automaton
-from .colors import ColorStore, TerminationFlag
+from .colors import ColorStore
 from .nmc import nmc_ndfs
 from .optimistic import endfs
 from .oracle import has_accepting_cycle, validate_lasso
 from .owcty_map import owcty
-from .results import Verdict
+from .results import Verdict, WatchdogTimeout
 from .search import ndfs
 from .shared_red import lndfs
 from .swarm import swarm_ndfs
@@ -35,9 +36,10 @@ from .swarm import swarm_ndfs
 class Algorithm:
     """One detector as the harness runs it, and the options it takes.
 
-    run(aut, workers=, seed=, heuristic=, allred=, store=, term=) runs it
-    once; store is a fresh ColorStore for shared algorithms and None
-    otherwise, term the flag the watchdog raises.  parallel algorithms
+    run(aut, workers=, seed=, heuristic=, allred=, store=, deadline=) runs
+    it once; store is a ColorStore for shared algorithms to use (None for
+    a fresh one), deadline the perf_counter() value past which the run
+    raises WatchdogTimeout (None for none).  parallel algorithms
     race several workers, shared ones keep a ColorStore whose colors can
     be dumped, and a lenient one ignores a worker count or heuristic it
     cannot use instead of rejecting them.
@@ -55,30 +57,29 @@ class Algorithm:
 # can patch one
 ALGORITHM_TABLE: dict[str, Algorithm] = {
     "ndfs": Algorithm(
-        lambda aut, seed, allred, term, **_: ndfs(aut, SuccessorOrder(0, seed), allred=allred, term=term),
+        lambda aut, seed, allred, deadline, **_: ndfs(aut, SuccessorOrder(0, seed), allred, deadline),
         allred=True,
     ),
     "swarm": Algorithm(
-        lambda aut, workers, seed, heuristic, term, **_: swarm_ndfs(aut, workers, seed, heuristic, term=term),
+        lambda aut, workers, seed, heuristic, deadline, **_: swarm_ndfs(aut, workers, seed, heuristic, deadline),
         parallel=True, heuristic=True,
     ),
     "lndfs": Algorithm(
-        lambda aut, workers, seed, heuristic, store, **_: lndfs(aut, workers, seed, heuristic, store=store),
+        lambda aut, workers, seed, heuristic, store, deadline, **_: lndfs(
+            aut, workers, seed, heuristic, store, deadline
+        ),
         parallel=True, heuristic=True, shared=True,
     ),
     "endfs": Algorithm(
-        lambda aut, workers, seed, store, **_: endfs(aut, workers, seed, store=store), parallel=True, shared=True
+        lambda aut, workers, seed, store, deadline, **_: endfs(aut, workers, seed, store, deadline),
+        parallel=True, shared=True,
     ),
     "nmc": Algorithm(
-        lambda aut, workers, seed, store, **_: nmc_ndfs(aut, workers, seed, store=store), parallel=True, shared=True
+        lambda aut, workers, seed, store, deadline, **_: nmc_ndfs(aut, workers, seed, store, deadline),
+        parallel=True, shared=True,
     ),
-    "owcty": Algorithm(lambda aut, term, **_: owcty(aut, term=term), lenient=True),
+    "owcty": Algorithm(lambda aut, deadline, **_: owcty(aut, deadline), lenient=True),
 }
-
-CSV_HEADER = (
-    "input,alg,workers,seed,repeat,verdict,wall_time_s,blue_exp,red_exp,"
-    "repair_exp,dangerous_count,waits,helper_joins,owcty_rounds,map_hits"
-)
 
 
 class InvalidConfig(ValueError):
@@ -91,10 +92,6 @@ class InputNotFound(FileNotFoundError):
 
 class VerdictCorrupt(RuntimeError):
     """Raised when a detector returns a lasso that fails validation."""
-
-
-class WatchdogTimeout(RuntimeError):
-    """Raised when a run exceeds its wall-clock budget."""
 
 
 @dataclass(slots=True)
@@ -117,7 +114,7 @@ class RunConfig:
 
 @dataclass(slots=True)
 class BenchRecord:
-    """One completed run, one CSV row."""
+    """One completed run, one CSV row: its fields are the columns, in order."""
 
     input: str
     alg: str
@@ -137,11 +134,12 @@ class BenchRecord:
 
     def to_row(self) -> list:
         return [
-            self.input, self.alg, self.workers, self.seed, self.repeat,
-            self.verdict, f"{self.wall_time_s:.6f}", self.blue_exp,
-            self.red_exp, self.repair_exp, self.dangerous_count, self.waits,
-            self.helper_joins, self.owcty_rounds, self.map_hits,
+            f"{self.wall_time_s:.6f}" if f.name == "wall_time_s" else getattr(self, f.name)
+            for f in fields(self)
         ]
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
 def _checked(name: str, workers: int, seed: int, heuristic: bool, allred: bool) -> Algorithm:
@@ -222,50 +220,27 @@ def execute(
     timeout: float | None = None,
     store: ColorStore | None = None,
 ) -> Verdict:
-    """Run one detector once, under the watchdog.
+    """Run one detector once, in this thread, under the watchdog.
 
-    timeout=None takes the environment budget; a non-positive timeout
-    disables the watchdog and runs inline, and a non-finite one is
-    rejected with InvalidConfig, as are an unknown algorithm and an
-    option it does not take.  A pre-built store may be passed for the
-    shared-color algorithms to inspect colors afterwards.
+    timeout=None takes the environment budget, and a run still going
+    timeout seconds after the call raises WatchdogTimeout; a non-positive
+    timeout disables the watchdog, and a non-finite one is rejected with
+    InvalidConfig, as are an unknown algorithm and an option it does not
+    take.  A pre-built store may be passed for the shared-color
+    algorithms to inspect colors afterwards.
     """
     if timeout is None:
         timeout = watchdog_secs()
     elif not math.isfinite(timeout):
         raise InvalidConfig(f"bad timeout {timeout}: not a finite number of seconds")
     alg = _checked(algorithm, workers, seed, heuristic, allred)
-    if not alg.shared:
-        store = None
-    elif store is None:
-        store = ColorStore(aut.num_states, aut.accepting)
-    term = store.term if store is not None else TerminationFlag()
-    job = lambda: alg.run(
-        aut, workers=workers, seed=seed, heuristic=heuristic, allred=allred, store=store, term=term
-    )
-
-    if timeout <= 0:
-        return job()
-
-    box: dict = {}
-
-    def runner():
-        try:
-            box["verdict"] = job()
-        except BaseException as e:  # surfaced in the caller
-            box["error"] = e
-
-    t = threading.Thread(target=runner, daemon=True, name=f"bench-{algorithm}")
-    t.start()
-    t.join(timeout)
-    if t.is_alive():
-        # every detector reads the stop flag and returns soon after
-        term.set()
-        t.join(1.0)
-        raise WatchdogTimeout(f"{algorithm} exceeded {timeout:.1f}s budget")
-    if "error" in box:
-        raise box["error"]
-    return box["verdict"]
+    deadline = perf_counter() + timeout if timeout > 0 else None
+    try:
+        return alg.run(
+            aut, workers=workers, seed=seed, heuristic=heuristic, allred=allred, store=store, deadline=deadline
+        )
+    except WatchdogTimeout:
+        raise WatchdogTimeout(f"{algorithm} exceeded {timeout:.1f}s budget") from None
 
 
 def _record(cfg: RunConfig, repeat: int, seed: int, v: Verdict) -> BenchRecord:

@@ -1,9 +1,10 @@
-"""Shared per-state flags, accept counters, and run termination plumbing.
+"""Shared per-state flags, accept counters, and the first-reporter slot.
 
 The detectors' workers take turns in one thread and interleave only
 where their searches yield (see search.py), so a run contends for
-nothing here.  The store keeps its locks all the same, because its
-public contract is wider: everything here is safe for unrestricted
+nothing here; a run ends by closing its workers' searches, so no stop
+flag lives here either.  The store keeps its locks all the same, because
+its public contract is wider: everything here is safe for unrestricted
 concurrent use by threads, as argued below and held by the tests.
 
 Global flags (red, blue, dangerous, safe) are monotone: once set they
@@ -47,29 +48,15 @@ class UnderflowFault(RuntimeError):
     """An accept counter would have gone negative: a protocol bug."""
 
 
-class TerminationFlag:
-    """Monotone stop signal checked at every expansion and while waiting."""
-
-    __slots__ = ("stopped",)
-
-    def __init__(self):
-        self.stopped = False
-
-    def set(self):
-        self.stopped = True
-
-
 class ReporterSlot:
     """First-writer-wins slot for the winning worker's counterexample.
 
-    Claiming the slot also raises the termination flag, so losing workers
-    unwind promptly.  Exactly one claim ever succeeds per run.
+    Exactly one claim ever succeeds per run.
     """
 
-    __slots__ = ("term", "_lock", "worker", "lasso")
+    __slots__ = ("_lock", "worker", "lasso")
 
-    def __init__(self, term: TerminationFlag):
-        self.term = term
+    def __init__(self):
         self._lock = threading.Lock()
         self.worker = None
         self.lasso = None
@@ -79,7 +66,6 @@ class ReporterSlot:
             if self.worker is None:
                 self.worker = worker
                 self.lasso = lasso
-                self.term.set()
                 return True
             return False
 
@@ -99,7 +85,6 @@ class ColorStore:
         self.accept_mask = bytearray(num_states)
         for a in accepting:
             self.accept_mask[a] = 1
-        self.term = TerminationFlag()
         self._flag_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._counters: dict[int, int] = {}

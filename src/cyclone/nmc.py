@@ -31,7 +31,7 @@ from __future__ import annotations
 from .automaton import BuchiAutomaton
 from .colors import BLUE, SAFE, ColorStore
 from .results import Verdict, WorkerStats
-from .search import STOPPED, nested_search, race, worker_keys
+from .search import nested_search, race, worker_keys
 
 
 class _RepairTask:
@@ -50,32 +50,35 @@ def nmc_ndfs(
     n_workers: int = 1,
     seed: int = 0,
     store: ColorStore | None = None,
+    deadline: float | None = None,
 ) -> Verdict:
-    """Optimistic detector whose repairs are shared allred passes with helpers."""
+    """Optimistic detector whose repairs are shared allred passes with helpers.
+
+    A run still going at deadline raises WatchdogTimeout.
+    """
     if store is None:
         store = ColorStore(aut.num_states, aut.accepting)
-    term = store.term
-    racing = n_workers > 1
     repair_seen = bytearray(aut.num_states)
     tasks: dict[int, _RepairTask] = {}
     mains_done = 0
 
-    def participate(task: _RepairTask, ws: WorkerStats):
+    def participate(task: _RepairTask, ws: WorkerStats, racing: bool):
         pid = task.joiners
         task.joiners += 1
         rw = WorkerStats()
-        res = yield from nested_search(
-            aut, rw, term, store=store, block=SAFE, allred=True, root=task.root,
-            keys=worker_keys(pid, seed ^ (task.root * 0x1000193)),
-            seen=repair_seen, stem=task.stem, racing=racing,
-        )
-        ws.repair_expansions += rw.blue_expansions + rw.red_expansions
-        ws.waits += rw.waits
-        if rw.max_stack_depth > ws.max_stack_depth:
-            ws.max_stack_depth = rw.max_stack_depth
-        return res
+        try:
+            return (yield from nested_search(
+                aut, rw, store=store, block=SAFE, allred=True, root=task.root,
+                keys=worker_keys(pid, seed ^ (task.root * 0x1000193)),
+                seen=repair_seen, stem=task.stem, racing=racing,
+            ))
+        finally:  # also when the run closes the repair
+            ws.repair_expansions += rw.blue_expansions + rw.red_expansions
+            ws.waits += rw.waits
+            if rw.max_stack_depth > ws.max_stack_depth:
+                ws.max_stack_depth = rw.max_stack_depth
 
-    def body(w, ws):
+    def body(w, ws, racing):
         nonlocal mains_done
 
         def repair(root: int, stem: tuple[int, ...]):
@@ -84,31 +87,28 @@ def nmc_ndfs(
                 task = tasks[root] = _RepairTask(root, stem)
             else:
                 ws.helper_joins += 1
-            return participate(task, ws)
+            return participate(task, ws, racing)
 
         keys = (None, None) if w == 0 else worker_keys(w, seed)
-        res = yield from nested_search(
-            aut, ws, term, store=store, block=BLUE, keys=keys, racing=racing, repair=repair
-        )
+        res = yield from nested_search(aut, ws, store=store, block=BLUE, keys=keys, racing=racing, repair=repair)
         if res is not None:
             return res
         mains_done += 1
         # own pass done: help with whatever repairs are still open
         safe = store.plane(SAFE)
-        while not term.stopped:
+        while True:
             task = next((t for t in tasks.values() if not safe[t.root]), None)
             if task is not None:
                 ws.helper_joins += 1
-                res = yield from participate(task, ws)
+                res = yield from participate(task, ws, racing)
                 if res is not None:
                     return res
             elif mains_done == n_workers:
                 return None
             else:
                 yield  # the other workers' turn: they may still open repairs
-        return STOPPED
 
-    v = race(n_workers, term, body)
+    v = race(n_workers, body, deadline)
     v.stats.extras["dangerous_count"] = sum(s.dangerous_marks for s in v.stats.workers)
     v.stats.extras["repair_states"] = sum(repair_seen)
     return v

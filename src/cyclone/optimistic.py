@@ -25,18 +25,20 @@ def endfs(
     n_workers: int = 1,
     seed: int = 0,
     store: ColorStore | None = None,
+    deadline: float | None = None,
 ) -> Verdict:
     """Shared-blue/shared-red optimistic detector with sequential repair.
 
     Verdict extras carry dangerous_count (states ever marked dangerous)
     and repair_states (distinct states the repair stage ever entered).
+    A run still going at deadline raises WatchdogTimeout.
     """
     if store is None:
         store = ColorStore(aut.num_states, aut.accepting)
     n = aut.num_states
     repair_seen = bytearray(n)
 
-    def body(w, ws):
+    def body(w, ws, racing):
         # repair arrays persist across this worker's repairs: the whole
         # repair stage costs it at most two visits per state
         repair_colors, repair_flags = bytearray(n), bytearray(n)
@@ -44,21 +46,20 @@ def endfs(
 
         def repair(root: int, stem: tuple[int, ...]):
             rw = WorkerStats()
-            res = yield from nested_search(
-                aut, rw, store.term, flags=repair_flags, root=root, colors=repair_colors,
-                keys=repair_keys, seen=repair_seen, stem=stem, racing=n_workers > 1,
-            )
-            ws.repair_expansions += rw.blue_expansions + rw.red_expansions
-            if rw.max_stack_depth > ws.max_stack_depth:
-                ws.max_stack_depth = rw.max_stack_depth
-            return res
+            try:
+                return (yield from nested_search(
+                    aut, rw, flags=repair_flags, root=root, colors=repair_colors,
+                    keys=repair_keys, seen=repair_seen, stem=stem, racing=racing,
+                ))
+            finally:  # also when the run closes the repair
+                ws.repair_expansions += rw.blue_expansions + rw.red_expansions
+                if rw.max_stack_depth > ws.max_stack_depth:
+                    ws.max_stack_depth = rw.max_stack_depth
 
         keys = (None, None) if w == 0 else worker_keys(w, seed)
-        return nested_search(
-            aut, ws, store.term, store=store, block=BLUE, keys=keys, racing=n_workers > 1, repair=repair
-        )
+        return nested_search(aut, ws, store=store, block=BLUE, keys=keys, racing=racing, repair=repair)
 
-    v = race(n_workers, store.term, body)
+    v = race(n_workers, body, deadline)
     v.stats.extras["dangerous_count"] = sum(s.dangerous_marks for s in v.stats.workers)
     v.stats.extras["repair_states"] = sum(repair_seen)
     return v

@@ -23,12 +23,16 @@ later closure missed them or they were stripped.
 The expansion count is the work of both phases: each state the initial
 closure reaches, each queue pop of the propagation, and each state kept
 or stripped in a fixpoint round.  The breadth-first walks that build a
-lasso (bfs_path, cycle_through) run once per cycle found and stay
-uncounted.
+lasso (bfs_path, cycle_through) run only once a cycle is known to exist,
+and stay uncounted.
 
-A stop flag is read every 1,024 pops of the propagation and before each
-phase of a fixpoint round, so between two reads no walk covers more than
-the reachable graph once; a stopped run returns no lasso.
+A deadline, when given, is read every 1,024 pops of the propagation,
+before each phase of a fixpoint round, and before each accepting state
+the lasso search tries, so between two reads the run walks the
+reachable graph at most once per successor of one state; a run past it
+raises WatchdogTimeout.  The lasso search needs its read: it tries the
+accepting survivors in id order, and survivors that sit on no cycle,
+such as a dead-end chain behind the cycle, each cost a full walk.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .automaton import BuchiAutomaton
-from .colors import TerminationFlag
 from .paths import bfs_order, bfs_path, cycle_through
-from .results import Lasso, Verdict, WorkerStats, WorkStats
+from .results import Lasso, Verdict, WorkerStats, WorkStats, check_deadline
 
 
 @dataclass(slots=True)
@@ -56,15 +59,15 @@ class MapResult:
     reach: set[int]
 
 
-def map_pass(aut: BuchiAutomaton, term: TerminationFlag | None = None) -> MapResult:
+def map_pass(aut: BuchiAutomaton, deadline: float | None = None) -> MapResult:
     """Propagate maximal accepting-predecessor ids to fixpoint.
 
     Sound but one-sided: a lasso result is definite, a None result only
-    means this heuristic saw nothing (or term stopped it).
+    means this heuristic saw nothing.  Past deadline it raises
+    WatchdogTimeout.
     """
     amask = aut.accept_mask
     edges = aut.edges
-    stop = term or TerminationFlag()
     reach = set(bfs_order(aut, [aut.init]))
     table = [0] * aut.num_states
     # the pops, the table and the first cycle seen all follow the order of
@@ -73,8 +76,8 @@ def map_pass(aut: BuchiAutomaton, term: TerminationFlag | None = None) -> MapRes
     pops = len(reach)
     for u in queue:  # appended to while iterated: first in, first out
         pops += 1
-        if not pops & 1023 and stop.stopped:
-            break
+        if not pops & 1023:
+            check_deadline(deadline)
         val = u + 1 if amask[u] and u + 1 > table[u] else table[u]
         for t in edges[u]:
             if val > table[t]:
@@ -89,17 +92,16 @@ def map_pass(aut: BuchiAutomaton, term: TerminationFlag | None = None) -> MapRes
     return MapResult(None, table, pops, reach)
 
 
-def owcty(aut: BuchiAutomaton, term: TerminationFlag | None = None) -> Verdict:
+def owcty(aut: BuchiAutomaton, deadline: float | None = None) -> Verdict:
     """Full comparator: propagation first, then the shrinking fixpoint.
 
     Verdict extras: owcty_rounds counts fixpoint rounds (0 when the
     propagation pass already decided), map_hits is 1 in exactly that case.
-    Once term is raised the run stops at its next read of the flag and
-    reports no lasso.
+    Past deadline the run raises WatchdogTimeout at its next read of the
+    clock.
     """
     t0 = perf_counter()
-    stop = term or TerminationFlag()
-    mr = map_pass(aut, stop)
+    mr = map_pass(aut, deadline)
     pops = mr.pops
 
     def verdict(lasso: Lasso | None, rounds: int, hits: int) -> Verdict:
@@ -116,7 +118,8 @@ def owcty(aut: BuchiAutomaton, term: TerminationFlag | None = None) -> Verdict:
     candidates = list(mr.reach)
     indeg: list[int] | None = None  # edges into each candidate from candidates
     rounds = 0
-    while candidates and not stop.stopped:
+    while candidates:
+        check_deadline(deadline)
         rounds += 1
         seen = bytearray(aut.num_states)
         kept = bfs_order(aut, [s for s in candidates if amask[s]], seen)
@@ -133,8 +136,7 @@ def owcty(aut: BuchiAutomaton, term: TerminationFlag | None = None) -> Verdict:
                 if not seen[s]:
                     for t in edges[s]:
                         indeg[t] -= 1
-        if stop.stopped:
-            break
+        check_deadline(deadline)
         # strip states with no predecessor left; they cannot sit on a cycle
         dead = [s for s in kept if not indeg[s]]
         for s in dead:  # appended to while iterated
@@ -148,11 +150,10 @@ def owcty(aut: BuchiAutomaton, term: TerminationFlag | None = None) -> Verdict:
         # a stripped state keeps in-degree 0, every other one has more
         candidates = [s for s in kept if indeg[s]] if dead else kept
 
-    if stop.stopped:
-        return verdict(None, rounds, 0)
     lasso = None
     if candidates:
         for a in sorted(s for s in candidates if amask[s]):
+            check_deadline(deadline)
             cycle = cycle_through(aut, a)
             if cycle is not None:
                 stem = bfs_path(aut, aut.init, a)

@@ -1,8 +1,19 @@
-"""Verdicts, lasso counterexamples, and per-worker work accounting."""
+"""Verdicts, lasso counterexamples, per-worker work accounting, and deadlines."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
+
+
+class WatchdogTimeout(RuntimeError):
+    """Raised when a run passes its wall-clock deadline."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise WatchdogTimeout once perf_counter() is past deadline; None never expires."""
+    if deadline is not None and perf_counter() > deadline:
+        raise WatchdogTimeout("run passed its deadline")
 
 
 @dataclass(frozen=True, slots=True)

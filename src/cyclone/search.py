@@ -31,16 +31,18 @@ call has a single plane, which serves as both the blocking and the red
 one.
 
 The search is a generator, and race drives the workers' searches in
-turns in one thread.  A search that races siblings yields every 64
-steps, blue or red; any search yields while it waits for sibling red
-searches to drain an accept counter, and runs a repair with yield from,
-so the repair's own turns pass through.  Between yields a worker runs
-alone, so no step sees a sibling's step half done and a run repeats
-exactly.
+turns in one thread.  A racing search (one with siblings or under a
+deadline) yields every 64 steps, blue or red; any search yields while it
+waits for sibling red searches to drain an accept counter, and runs a
+repair with yield from, so the repair's own turns pass through.  Between
+yields a worker runs alone, so no step sees a sibling's step half done
+and a run repeats exactly.  A run ends by closing the searches still
+live, which unwinds each at the yield where it waits; the search itself
+reads no stop flag.
 
 Three costs stay off the hot path.  A search counts steps toward a yield
-only when its caller says sibling workers race it; a lone worker still
-checks its stop flag at every step but finishes in one turn.  Each frame
+only when race says it is racing; a lone worker with no deadline reads
+nothing but its own frames and finishes in one turn.  Each frame
 holds an iterator over its successors, picked once when the state is pushed, so
 a step is one next() call: a list iterator, or under the fresh-successor
 bias (--heuristic, prefer successors no worker has visited yet) a
@@ -70,21 +72,8 @@ import sys
 from time import perf_counter
 
 from .automaton import BuchiAutomaton, OrderKind, SuccessorOrder, order_key, permute, state_hash
-from .colors import (
-    CYAN,
-    DANGEROUS,
-    LOCAL_BLUE,
-    PINK,
-    RED,
-    WHITE,
-    ColorStore,
-    ReporterSlot,
-    TerminationFlag,
-)
-from .results import Lasso, Verdict, WorkerStats, WorkStats
-
-# Sentinel return: the search unwound because the run was terminated.
-STOPPED = object()
+from .colors import CYAN, DANGEROUS, LOCAL_BLUE, PINK, RED, WHITE, ColorStore, ReporterSlot
+from .results import Lasso, Verdict, WorkerStats, WorkStats, check_deadline
 
 
 def worker_keys(w: int, seed: int) -> tuple[int, int]:
@@ -149,7 +138,16 @@ def _red_order(s, succs, key, colors, stop_red, visited):
     return _fresh(list(out) if out is succs else out, visited)
 
 
-def _splice(stem_prefix, bpath, ti, cyc, amask) -> Lasso:
+def _splice(stem_prefix, frames, rframes, t, amask) -> Lasso:
+    """The lasso closed by an edge into the cyan state t.
+
+    The cycle runs along the blue stack from t, then along the red stack
+    past its root (rframes is empty for a cycle closed in blue); the stem
+    is stem_prefix followed by the blue stack up to t.
+    """
+    bpath = [fr[0] for fr in frames]
+    ti = bpath.index(t)
+    cyc = bpath[ti:] + [rf[0] for rf in rframes[1:]]
     stem = tuple(bpath[: ti + 1])
     if stem_prefix:
         stem = tuple(stem_prefix[:-1]) + stem
@@ -160,7 +158,6 @@ def _splice(stem_prefix, bpath, ti, cyc, amask) -> Lasso:
 def nested_search(
     aut: BuchiAutomaton,
     ws: WorkerStats,
-    stop: TerminationFlag,
     *,
     store: ColorStore | None = None,
     flags: bytearray | None = None,
@@ -175,7 +172,7 @@ def nested_search(
     racing: bool = False,
     repair=None,
 ):
-    """One worker's nested search, a generator that returns a Lasso, None, or STOPPED.
+    """One worker's nested search, a generator that returns a Lasso or None.
 
     With a store the search reads and publishes the store's flag planes;
     without one it uses flags, a private plane (fresh when None) that
@@ -188,11 +185,12 @@ def nested_search(
     visited is the shared discovery bitset for the fresh-successor bias,
     seen an optional bitset recording every state this call enters, stem
     a path from the initial state to the root for lassos reported out of
-    rooted calls.  racing says sibling workers take turns with this one,
-    so the search yields to them every 64 steps.
+    rooted calls.  racing says the search takes turns under race, so it
+    yields every 64 steps.
     repair(root, stem) is a generator like this one that re-examines a
-    dangerous red root of the optimistic search and returns a Lasso,
-    STOPPED, or None when the root is clean.
+    dangerous red root of the optimistic search and returns a Lasso, or
+    None when the root is clean.  The counters reach ws when the search
+    returns or is closed.
     """
     n = aut.num_states
     post = aut.edges
@@ -246,9 +244,7 @@ def nested_search(
             if racing:
                 tick += 1
                 if not tick & 63:
-                    yield  # the racing workers' turn
-            if stop.stopped:
-                return STOPPED
+                    yield  # the other workers' turn, or race's deadline check
             f = frames[-1]
             t = next(f[1], -1)
             if t >= 0:
@@ -256,9 +252,7 @@ def nested_search(
                 c = colors[t]
                 if c == CYAN and (amask[s] or amask[t]):
                     # early detection: the blue stack from t to s is a cycle
-                    bpath = [fr[0] for fr in frames]
-                    ti = bpath.index(t)
-                    return _splice(stem, bpath, ti, bpath[ti:], amask)
+                    return _splice(stem, frames, (), t, amask)
                 if c == WHITE and not blk[t]:
                     colors[t] = CYAN
                     blue_exp += 1
@@ -297,8 +291,6 @@ def nested_search(
                             tick += 1
                             if not tick & 63:
                                 yield
-                        if stop.stopped:
-                            return STOPPED
                         rf = rframes[-1]
                         t = next(rf[1], -1)
                         if t < 0:
@@ -307,18 +299,13 @@ def nested_search(
                             if shared and amask[u] and store.counter_adjust(u, -1) != 0:
                                 waits += 1
                                 while store.counter_value(u):
-                                    if stop.stopped:
-                                        return STOPPED
                                     yield  # sibling red searches rooted at u
                             blk[u] = 1
                             continue
                         c = colors[t]
                         if c == CYAN:
                             # cycle: blue stack t..s, red stack s..current, edge back to t
-                            bpath = [fr[0] for fr in frames]
-                            rpath = [rr[0] for rr in rframes]
-                            ti = bpath.index(t)
-                            return _splice(stem, bpath, ti, bpath[ti:] + rpath[1:], amask)
+                            return _splice(stem, frames, rframes, t, amask)
                         if c != PINK and not blk[t]:
                             assert not amask[t], "red search reached an unprocessed accepting state"
                             colors[t] = PINK
@@ -351,18 +338,13 @@ def nested_search(
                             tick += 1
                             if not tick & 63:
                                 yield
-                        if stop.stopped:
-                            return STOPPED
                         rf = rframes[-1]
                         t = next(rf[1], -1)
                         if t < 0:
                             rframes.pop()
                             continue
                         if colors[t] == CYAN:
-                            bpath = [fr[0] for fr in frames]
-                            rpath = [rr[0] for rr in rframes]
-                            ti = bpath.index(t)
-                            return _splice(stem, bpath, ti, bpath[ti:] + rpath[1:], amask)
+                            return _splice(stem, frames, rframes, t, amask)
                         if not red[t]:
                             if amask[t]:
                                 # met an uncleared accepting state: poison it.
@@ -403,25 +385,30 @@ def nested_search(
             ws.max_stack_depth = maxd
 
 
-def race(n_workers: int, term: TerminationFlag, body) -> Verdict:
-    """Race the searches body(w, stats) of n_workers workers to the first lasso.
+def race(n_workers: int, body, deadline: float | None = None) -> Verdict:
+    """Race the searches body(w, stats, racing) of n_workers workers to the first lasso.
 
     body returns a generator like nested_search's, which yields to give
-    the other workers their turn and returns a Lasso, None, or STOPPED.
-    The workers take turns in worker order in this thread, so a run
-    repeats exactly.  The first Lasso claims the verdict and raises term,
-    so the others unwind at their next step; a no-cycle verdict needs
-    every worker to finish its pass.  An error in any worker raises term
-    and propagates.
+    the other workers their turn and returns a Lasso or None.  racing is
+    true when the search must yield: it has siblings, or a deadline
+    needs the clock read between its turns.  The workers take turns in
+    worker order in this thread, so a run repeats exactly; before each
+    round a perf_counter() past deadline raises WatchdogTimeout.  The
+    first Lasso claims the verdict; a no-cycle verdict needs every worker
+    to finish its pass.  Once the verdict falls, on a timeout or on an
+    error in any worker, every search still live is closed.
     """
     if n_workers < 1:
         raise ValueError(f"need at least one worker, got {n_workers}")
-    reporter = ReporterSlot(term)
+    racing = n_workers > 1 or deadline is not None
+    reporter = ReporterSlot()
     stats = [WorkerStats() for _ in range(n_workers)]
     t0 = perf_counter()
+    live = {}
     try:
-        live = {w: body(w, stats[w]) for w in range(n_workers)}
-        while live:
+        live = {w: body(w, stats[w], racing) for w in range(n_workers)}
+        while live and reporter.worker is None:
+            check_deadline(deadline)
             for w, search in list(live.items()):
                 try:
                     next(search)
@@ -429,9 +416,10 @@ def race(n_workers: int, term: TerminationFlag, body) -> Verdict:
                     del live[w]
                     if isinstance(done.value, Lasso):
                         reporter.claim(w, done.value)
-    except BaseException:
-        term.set()
-        raise
+                        break
+    finally:
+        for search in live.values():
+            search.close()
     return Verdict(reporter.lasso, WorkStats(stats, perf_counter() - t0), winner=reporter.worker)
 
 
@@ -439,16 +427,18 @@ def ndfs(
     aut: BuchiAutomaton,
     order: SuccessorOrder | None = None,
     allred: bool = False,
-    term: TerminationFlag | None = None,
+    deadline: float | None = None,
 ) -> Verdict:
     """Sequential accepting-cycle detector.
 
     order picks the successor permutations (canonical order when None);
     the blue and red orders both derive from its worker and seed.  allred enables the extension that promotes
     a state to red when every successor came back red, skipping provably
-    redundant red searches.  term may inject an external termination flag
-    (the bench watchdog uses this).
+    redundant red searches.  A run still going at deadline (a
+    perf_counter() value; the bench watchdog sets one) raises
+    WatchdogTimeout.
     """
     keys = (None, None) if order is None else worker_keys(order.worker_id, order.seed)
-    term = term or TerminationFlag()
-    return race(1, term, lambda w, ws: nested_search(aut, ws, term, allred=allred, keys=keys))
+    return race(
+        1, lambda w, ws, racing: nested_search(aut, ws, allred=allred, keys=keys, racing=racing), deadline
+    )

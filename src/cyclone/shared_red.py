@@ -22,21 +22,20 @@ def lndfs(
     seed: int = 0,
     heuristic: bool = False,
     store: ColorStore | None = None,
+    deadline: float | None = None,
 ) -> Verdict:
     """Shared-red multi-core detector.
 
     Worker 0 explores in canonical order, the rest under seeded
     permutations.  Pass a pre-built ColorStore to inspect colors after
-    the run or to terminate it externally.
+    the run.  A run still going at deadline raises WatchdogTimeout.
     """
     if store is None:
         store = ColorStore(aut.num_states, aut.accepting)
     visited = bytearray(aut.num_states) if heuristic else None
 
-    def body(w, ws):
+    def body(w, ws, racing):
         keys = (None, None) if w == 0 else worker_keys(w, seed)
-        return nested_search(
-            aut, ws, store.term, store=store, allred=True, keys=keys, visited=visited, racing=n_workers > 1
-        )
+        return nested_search(aut, ws, store=store, allred=True, keys=keys, visited=visited, racing=racing)
 
-    return race(n_workers, store.term, body)
+    return race(n_workers, body, deadline)

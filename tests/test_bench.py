@@ -141,39 +141,39 @@ def test_execute_every_algorithm_once():
         assert isinstance(v, Verdict)
 
 
-def test_watchdog_fires_and_terminates_the_run(monkeypatch):
-    stopped = []
+@pytest.fixture(scope="module")
+def big():
+    # no accepting state, so every detector searches all of it: a one-worker
+    # ndfs takes about two seconds, ten times the budget below.  A run that
+    # finished would return a verdict, so the raise shows the deadline
+    # stopped it; the time bounds only cap the overshoot, with room for a
+    # slow machine
+    return resolve_input("random:300000:3.0:0.0:1")
 
-    def sleeper(aut, n_workers=1, seed=0, heuristic=False, store=None):
-        while not store.term.stopped:
-            time.sleep(0.001)
-        stopped.append(True)
-        return Verdict(None, WorkStats([WorkerStats()], 0.0))
 
-    monkeypatch.setattr(bench, "lndfs", sleeper)
-    a = resolve_input("lasso:1:1:acc")
+def test_watchdog_fires_and_terminates_the_run(big):
     t0 = time.perf_counter()
+    with pytest.raises(WatchdogTimeout, match="lndfs exceeded 0.2s budget"):
+        execute(big, "lndfs", 2, timeout=0.2)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_watchdog_stops_ndfs_and_leaves_no_thread(big):
+    threads = threading.active_count()
     with pytest.raises(WatchdogTimeout):
-        execute(a, "lndfs", timeout=0.2)
-    assert time.perf_counter() - t0 < 5
-    assert stopped == [True]  # the stop flag reached the hung detector
+        execute(big, "ndfs", timeout=0.2)
+    assert threading.active_count() == threads
 
 
-def test_watchdog_stops_ndfs_and_leaves_no_thread(monkeypatch):
-    stopped = []
-
-    def sleeper(aut, order=None, allred=False, term=None):
-        while not term.stopped:
-            time.sleep(0.001)
-        stopped.append(True)
-        return Verdict(None, WorkStats([WorkerStats()], 0.0))
-
-    monkeypatch.setattr(bench, "ndfs", sleeper)
-    a = resolve_input("lasso:1:1:acc")
-    with pytest.raises(WatchdogTimeout):
-        execute(a, "ndfs", timeout=0.2)
-    assert stopped == [True]
-    assert not [t for t in threading.enumerate() if t.name == "bench-ndfs"]
+def test_every_algorithm_stops_at_its_deadline(big):
+    threads = threading.active_count()
+    for alg, spec in bench.ALGORITHM_TABLE.items():
+        for workers in (1, 3) if spec.parallel else (1,):
+            t0 = time.perf_counter()
+            with pytest.raises(WatchdogTimeout):
+                execute(big, alg, workers, timeout=0.2)
+            assert time.perf_counter() - t0 < 2.0, (alg, workers)
+    assert threading.active_count() == threads
 
 
 def _onion(layers: int) -> BuchiAutomaton:
@@ -193,10 +193,34 @@ def test_watchdog_stops_owcty_and_leaves_no_thread():
     # about 24 million fixpoint pops: seconds of work, against 0.2 s
     a = _onion(4000)
     t0 = time.perf_counter()
+    threads = threading.active_count()
     with pytest.raises(WatchdogTimeout):
         execute(a, "owcty", timeout=0.2)
     assert time.perf_counter() - t0 < 2.0
-    assert not [t for t in threading.enumerate() if t.name == "bench-owcty"]
+    assert threading.active_count() == threads
+
+
+def _chain_behind_cycle(k: int) -> BuchiAutomaton:
+    # 0 -> N -> M <-> B, and M -> 1 -> 2 -> ... -> k, a dead-end chain;
+    # N, M and the chain are accepting, with ids 1..k < B < M < N.  N's id
+    # masks M's, so the propagation misses the cycle, and the fixpoint keeps
+    # the chain; the lasso search then tries 1..k before M, each with a
+    # walk down the rest of the chain
+    b, m, n = k + 1, k + 2, k + 3
+    edges = [[n]] + [[i + 1] for i in range(1, k)] + [[], [m], [b, 1], [m]]
+    return BuchiAutomaton(k + 4, 0, frozenset([*range(1, k + 1), m, n]), edges)
+
+
+def test_watchdog_stops_owcty_while_it_builds_the_lasso():
+    small = execute(_chain_behind_cycle(50), "owcty", timeout=0)
+    assert small.lasso.cycle == (52, 51)
+    assert small.stats.extras == {"owcty_rounds": 2, "map_hits": 0}
+    # both phases take milliseconds; the lasso search alone takes about
+    # 200 million steps, half a minute, against 0.2 s
+    t0 = time.perf_counter()
+    with pytest.raises(WatchdogTimeout):
+        execute(_chain_behind_cycle(20000), "owcty", timeout=0.2)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_watchdog_budget_comes_from_environment(monkeypatch):
@@ -230,7 +254,7 @@ def test_unreadable_input_file_is_input_not_found(tmp_path):
 
 
 def test_invalid_lasso_is_reported_not_recorded(monkeypatch):
-    def liar(aut, order=None, allred=False, term=None):
+    def liar(aut, order=None, allred=False, deadline=None):
         bogus = Lasso((0,), (0,), 0)
         return Verdict(bogus, WorkStats([WorkerStats()], 0.0), winner=0)
 
@@ -240,7 +264,7 @@ def test_invalid_lasso_is_reported_not_recorded(monkeypatch):
 
 
 def test_sweep_oracle_check_catches_wrong_verdicts(monkeypatch):
-    def denier(aut, order=None, allred=False, term=None):
+    def denier(aut, order=None, allred=False, deadline=None):
         return Verdict(None, WorkStats([WorkerStats()], 0.0))
 
     monkeypatch.setattr(bench, "ndfs", denier)

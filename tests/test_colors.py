@@ -5,9 +5,9 @@ import threading
 
 import pytest
 
-from cyclone import BuchiAutomaton, ColorStore, ReporterSlot, TerminationFlag, UnderflowFault, WorkerStats
+from cyclone import BuchiAutomaton, ColorStore, ReporterSlot, UnderflowFault, WorkerStats
 from cyclone.colors import BLUE, DANGEROUS, FLAGS, RED, SAFE
-from cyclone.search import STOPPED, nested_search
+from cyclone.search import nested_search
 
 
 def _spawn(n, target):
@@ -116,7 +116,7 @@ def _waiting_search():
     store = ColorStore(a.num_states, a.accepting)
     store.counter_adjust(0, 1)
     ws = WorkerStats()
-    return store, ws, nested_search(a, ws, store.term, store=store, allred=True)
+    return store, ws, nested_search(a, ws, store=store, allred=True)
 
 
 def test_counter_wait_yields_until_the_counter_drains():
@@ -135,27 +135,16 @@ def test_counter_wait_yields_until_the_counter_drains():
 
 
 def test_counter_wait_stops_on_termination():
+    # the run ends by closing the search where it waits
     store, ws, search = _waiting_search()
     assert next(search) is None
-    store.term.set()
-    with pytest.raises(StopIteration) as done:
-        next(search)
-    assert done.value.value is STOPPED
+    search.close()
     assert not store.get_flag(0, RED)
-    assert ws.waits == 1
-
-
-def test_termination_flag_is_sticky():
-    term = TerminationFlag()
-    assert not term.stopped
-    term.set()
-    term.set()
-    assert term.stopped
+    assert ws.waits == 1 and (ws.blue_expansions, ws.red_expansions) == (3, 3)
 
 
 def test_reporter_slot_first_claim_wins():
-    term = TerminationFlag()
-    slot = ReporterSlot(term)
+    slot = ReporterSlot()
     claims = []
 
     def body(i):
@@ -166,7 +155,6 @@ def test_reporter_slot_first_claim_wins():
     assert len(winners) == 1
     assert slot.worker == winners[0]
     assert slot.lasso == f"lasso-{winners[0]}"
-    assert term.stopped
 
 
 def test_dump_csv_shape():

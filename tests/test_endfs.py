@@ -4,14 +4,17 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cyclone import (
+    BuchiAutomaton,
     ColorStore,
     endfs,
     gen_lasso,
     gen_random,
     has_accepting_cycle,
     ndfs,
+    nmc_ndfs,
     validate_lasso,
 )
+from cyclone.colors import DANGEROUS
 from strategies import automata
 
 
@@ -72,3 +75,24 @@ def test_extras_always_present():
     v = endfs(gen_lasso(1, 2, True), 2, 0)
     assert set(v.stats.extras) >= {"dangerous_count", "repair_states"}
     assert v.stats.extras["dangerous_count"] >= 0
+
+
+def test_a_repair_closed_by_the_verdict_still_counts():
+    # 0 -> 1 (accepting) -> a 200-state chain, and 0 -> a 1000-state chain
+    # -> 1202 (accepting, self loop).  With 1 marked dangerous beforehand,
+    # worker 0 takes the short chain and is repairing 1 when worker 1,
+    # down the long one, closes the cycle and the run closes worker 0.
+    n = 1203
+    edges = [[s + 1] for s in range(n)]
+    edges[0] = [1, 202]
+    edges[201] = []
+    edges[n - 1] = [n - 1]
+    a = BuchiAutomaton(n, 0, frozenset({1, n - 1}), edges)
+    for detector in (endfs, nmc_ndfs):
+        store = ColorStore(n, a.accepting)
+        store.set_flag(1, DANGEROUS)
+        v = detector(a, 2, 0, store=store)
+        assert v.winner == 1 and validate_lasso(a, v.lasso)
+        w0 = v.stats.workers[0]
+        assert (w0.blue_expansions, w0.red_expansions) == (202, 201)
+        assert w0.repair_expansions > 0, detector.__name__

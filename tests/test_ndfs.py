@@ -155,12 +155,12 @@ def test_permuted_shared_color_passes_are_frozen():
         keys = (order_key(1, seed, OrderKind.BLUE), order_key(1, seed, OrderKind.RED))
         ws = WorkerStats()
         store = ColorStore(a.num_states, a.accepting)
-        res = finish(nested_search(a, ws, store.term, store=store, allred=True, keys=keys))
+        res = finish(nested_search(a, ws, store=store, allred=True, keys=keys))
         assert _shape(res) == lasso
         assert (ws.blue_expansions, ws.red_expansions) == lcounts
         ws = WorkerStats()
         store = ColorStore(a.num_states, a.accepting)
-        res = finish(nested_search(a, ws, store.term, store=store, block=BLUE, keys=keys, repair=no_repair))
+        res = finish(nested_search(a, ws, store=store, block=BLUE, keys=keys, repair=no_repair))
         assert _shape(res) == lasso
         assert (ws.blue_expansions, ws.red_expansions) == ecounts
 

@@ -18,7 +18,6 @@ from cyclone import (
     ColorStore,
     OrderKind,
     SuccessorOrder,
-    TerminationFlag,
     WorkerStats,
     lndfs,
     ndfs,
@@ -103,11 +102,11 @@ def _observe(a: BuchiAutomaton, seed: int):
     keys = (order_key(1, seed, OrderKind.BLUE), order_key(1, seed, OrderKind.RED))
     ws = WorkerStats()
     store = ColorStore(a.num_states, a.accepting)
-    res = finish(nested_search(a, ws, store.term, store=store, allred=True, keys=keys))
+    res = finish(nested_search(a, ws, store=store, allred=True, keys=keys))
     out.append(_run(a, res, ws))
     ws = WorkerStats()
     store = ColorStore(a.num_states, a.accepting)
-    res = finish(nested_search(a, ws, store.term, store=store, block=BLUE, keys=keys, repair=_no_repair))
+    res = finish(nested_search(a, ws, store=store, block=BLUE, keys=keys, repair=_no_repair))
     out.append(_run(a, res, ws))
     return tuple(out)
 
@@ -236,7 +235,7 @@ def test_permute_skips_lists_with_at_most_one_live_successor(monkeypatch):
     # colors and red plane kept to count what it entered
     colors, red = bytearray(a.num_states), bytearray(a.num_states)
     ws = WorkerStats()
-    res = finish(nested_search(a, ws, TerminationFlag(), flags=red, colors=colors, keys=worker_keys(0, k)))
+    res = finish(nested_search(a, ws, flags=red, colors=colors, keys=worker_keys(0, k)))
     assert _run(a, res, ws) == _GOLDEN[k][0]
     assert sum(c != WHITE for c in colors) == ws.blue_expansions
     assert sum(red) == ws.red_expansions

@@ -1,10 +1,14 @@
 """Propagation pass and elimination fixpoint."""
 
+from time import perf_counter
+
+import pytest
 from hypothesis import given
 
+import cyclone.owcty_map
 from cyclone import (
     BuchiAutomaton,
-    TerminationFlag,
+    WatchdogTimeout,
     gen_lasso,
     gen_needle,
     gen_random,
@@ -43,13 +47,21 @@ def test_expansions_count_the_reachable_closure():
     assert v.stats.total_expansions >= len(reach)
 
 
-def test_raised_stop_flag_ends_the_fixpoint_before_its_first_round():
+def test_past_deadline_raises_before_the_first_fixpoint_round(monkeypatch):
+    # the propagation reads the clock only every 1,024 pops, so on this
+    # graph the first read comes before the fixpoint's first closure
     a = gen_lasso(2, 3, False)
-    term = TerminationFlag()
-    term.set()
-    v = owcty(a, term=term)
-    assert v.lasso is None
-    assert v.stats.extras["owcty_rounds"] == 0
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return bfs_order(*args)
+
+    bfs_order = cyclone.owcty_map.bfs_order
+    monkeypatch.setattr(cyclone.owcty_map, "bfs_order", counted)
+    with pytest.raises(WatchdogTimeout):
+        owcty(a, deadline=perf_counter() - 1)
+    assert len(walks) == 1  # the propagation's reachable closure only
     assert owcty(a).stats.extras["owcty_rounds"] == 2
 
 

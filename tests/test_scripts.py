@@ -33,14 +33,3 @@ def test_needle_race_prints_model_table(tmp_path):
                                          "race", "speedup"]
         assert [line.split()[0] for line in lines[header + 1:]] == ["1", "2"]
 
-
-def test_random_sweep_prints_table_and_writes_csvs(tmp_path):
-    rec, agg = tmp_path / "records.csv", tmp_path / "agg.csv"
-    for out in _run("random_sweep.py", tmp_path, "--sizes", "30", "--probs", "0.2", "--graphs-per-cell",
-                    "1", "--workers", "1,2", "--repeats", "1", "-o", str(rec), "--aggregate", str(agg)):
-        lines = out.splitlines()
-        header = lines.index(next(line for line in lines if line.startswith("input ")))
-        assert lines[header].split() == ["input", "alg", "N", "mean", "wall", "s", "speedup"]
-        assert len(lines) - header - 1 == 10  # 1 input x (4 parallel algs x 2 + ndfs + owcty)
-    assert rec.read_text().startswith("input,alg,workers,")
-    assert agg.read_text().startswith("input,alg,workers,runs,mean_wall_s,speedup")

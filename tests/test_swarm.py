@@ -1,17 +1,22 @@
 """Racing isolated workers: degenerate equality, claims, shared bias."""
 
+from time import perf_counter
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cyclone import (
     SuccessorOrder,
-    TerminationFlag,
+    WatchdogTimeout,
     WorkerStats,
+    endfs,
     gen_lasso,
     gen_random,
     has_accepting_cycle,
+    lndfs,
     ndfs,
+    nmc_ndfs,
     swarm_ndfs,
     validate_lasso,
 )
@@ -53,35 +58,59 @@ def test_no_cycle_needs_every_worker_to_finish():
         assert w.blue_expansions == a.num_states
 
 
-def test_external_termination_flag_short_circuits():
-    term = TerminationFlag()
-    term.set()
+def test_past_deadline_raises_before_any_expansion():
     a = gen_lasso(4, 4, False)
-    v = swarm_ndfs(a, 2, 0, term=term)
-    assert not v.cycle_found
-    assert v.stats.total_expansions <= 2  # both workers stop at the first check
+    with pytest.raises(WatchdogTimeout):
+        swarm_ndfs(a, 2, 0, deadline=perf_counter() - 1)
+    stats = []
+
+    def body(w, ws, racing):
+        assert racing
+        stats.append(ws)
+        return search.nested_search(a, ws, keys=search.worker_keys(w, 0), racing=racing)
+
+    with pytest.raises(WatchdogTimeout):
+        search.race(2, body, deadline=perf_counter() - 1)
+    assert [ws.blue_expansions for ws in stats] == [0, 0]  # the clock is read before round one
 
 
 def test_worker_error_propagates():
-    term = TerminationFlag()
     turns = [0] * 4
+    closed = []
 
-    def body(w, ws):
-        # every worker takes a turn before worker 2 fails in its second
-        turns[w] += 1
-        yield
-        if w == 2:
-            raise RuntimeError("boom")
-        while not term.stopped:
+    def body(w, ws, racing):
+        assert racing
+        try:
+            # every worker takes a turn before worker 2 fails in its second
             turns[w] += 1
             yield
-        return search.STOPPED
+            if w == 2:
+                raise RuntimeError("boom")
+            while True:
+                turns[w] += 1
+                yield
+        except GeneratorExit:
+            closed.append(w)
+            raise
 
-    with pytest.raises(RuntimeError, match="boom"):
-        search.race(4, term, body)
-    assert term.stopped
+    # the traceback held here keeps race's frame, and the searches in it,
+    # alive: only race itself can have closed them
+    with pytest.raises(RuntimeError, match="boom") as _err:
+        search.race(4, body)
     # worker 3 never got its second turn against the failed run
     assert turns == [2, 2, 1, 1]
+    assert closed == [0, 1, 3]
+
+
+def test_round_one_winner_leaves_unstarted_losers_at_zero():
+    # worker 0 closes the cycle within its first turn, so the others are
+    # closed before they ever ran
+    a = gen_lasso(2, 3, True)
+    for detector in (swarm_ndfs, lndfs, endfs, nmc_ndfs):
+        v = detector(a, 4, 0)
+        assert v.winner == 0 and validate_lasso(a, v.lasso)
+        assert v.stats.workers[0].blue_expansions > 0
+        assert v.stats.workers[1:] == [WorkerStats()] * 3, detector.__name__
 
 
 @settings(max_examples=25)
@@ -123,12 +152,12 @@ def test_heuristic_shares_discoveries():
 def test_only_racing_workers_yield():
     a = gen_random(2000, 2.0, 0.0, 1)
     ws = WorkerStats()
-    lone = search.nested_search(a, ws, TerminationFlag(), keys=search.worker_keys(0, 0))
+    lone = search.nested_search(a, ws, keys=search.worker_keys(0, 0))
     with pytest.raises(StopIteration) as done:
         next(lone)
     assert done.value.value is None and ws.blue_expansions > 64
     ws = WorkerStats()
-    racing = search.nested_search(a, ws, TerminationFlag(), keys=search.worker_keys(0, 0), racing=True)
+    racing = search.nested_search(a, ws, keys=search.worker_keys(0, 0), racing=True)
     assert next(racing) is None
     assert ws.blue_expansions == 0  # counted when the search ends
     racing.close()
