@@ -9,6 +9,7 @@ every worker-specific ordering is a seeded permutation of it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -43,7 +44,11 @@ class ZeroCycle(ValueError):
 
 @dataclass(eq=True, slots=True)
 class BuchiAutomaton:
-    """Finite automaton with accepting states and ordered successor lists."""
+    """Finite automaton with accepting states and ordered successor lists.
+
+    edges[s] lists the successors of s in canonical order; treat it as
+    read-only.
+    """
 
     num_states: int
     init: int
@@ -72,10 +77,6 @@ class BuchiAutomaton:
                 if not (0 <= t < n):
                     raise ValueError(f"edge {s}->{t} out of range")
         self.accept_mask = mask
-
-    def successors(self, s: int) -> list[int]:
-        """Canonical-order successor list of s.  Treat as read-only."""
-        return self.edges[s]
 
     @property
     def num_edges(self) -> int:
@@ -257,8 +258,8 @@ def gen_random(n: int, avg_out_degree: float, accept_prob: float, seed: int) -> 
     """
     if n < 1:
         raise ValueError(f"need at least one state, got {n}")
-    if avg_out_degree < 0:
-        raise ValueError(f"avg_out_degree must be >= 0, got {avg_out_degree}")
+    if not (math.isfinite(avg_out_degree) and avg_out_degree >= 0):
+        raise ValueError(f"avg_out_degree must be finite and >= 0, got {avg_out_degree}")
     if not (0.0 <= accept_prob <= 1.0):
         raise ValueError(f"accept_prob must be in [0, 1], got {accept_prob}")
     rng = random.Random(seed)

@@ -5,9 +5,11 @@ a dangerous root is repaired: it opens a shared repair task, and the
 finder roots an allred pass at it; any worker arriving at the same root
 merges in as a helper, and workers whose own pass already completed pick
 open tasks off the board until every pass and every repair is done.
-Each worker is a generator, as the engine is: a repair runs under the
-engine's yield from, and a worker whose pass is done but finds nothing
-open yields its turn to the workers that may still open a task.
+Each participation is a rooted call of the engine on the worker's own
+counters, which books its expansions as repair_expansions.  Each worker
+is a generator, as the engine is: a repair runs under the engine's yield
+from, and a worker whose pass is done but finds nothing open yields its
+turn to the workers that may still open a task.
 Workers take turns in one thread, so the board needs no lock.
 
 Repairs block on, and publish, their own SAFE flag under the counter
@@ -63,20 +65,12 @@ def nmc_ndfs(
     mains_done = 0
 
     def participate(task: _RepairTask, ws: WorkerStats, racing: bool):
-        pid = task.joiners
         task.joiners += 1
-        rw = WorkerStats()
-        try:
-            return (yield from nested_search(
-                aut, rw, store=store, block=SAFE, allred=True, root=task.root,
-                keys=worker_keys(pid, seed ^ (task.root * 0x1000193)),
-                seen=repair_seen, stem=task.stem, racing=racing,
-            ))
-        finally:  # also when the run closes the repair
-            ws.repair_expansions += rw.blue_expansions + rw.red_expansions
-            ws.waits += rw.waits
-            if rw.max_stack_depth > ws.max_stack_depth:
-                ws.max_stack_depth = rw.max_stack_depth
+        return nested_search(
+            aut, ws, store=store, block=SAFE, allred=True, root=task.root,
+            keys=worker_keys(task.joiners - 1, seed ^ (task.root * 0x1000193)),
+            seen=repair_seen, stem=task.stem, racing=racing,
+        )
 
     def body(w, ws, racing):
         nonlocal mains_done

@@ -3,9 +3,11 @@
 Workers share the blue (done) and red (safe) flags and keep only the
 stack colors to themselves, so the swarm traverses the state space
 roughly once instead of once per worker.  What this adds to the engine
-is the repair: a dangerous root is re-checked by a rooted sequential
-nested search over private arrays that persist across one worker's
-repairs, which caps any worker's total work at four visits per state.
+is the repair: a dangerous root is re-checked by a rooted call of the
+engine, a sequential nested search over private arrays that persist
+across one worker's repairs, which caps any worker's total work at four
+visits per state.  The engine books a rooted call's expansions as the
+worker's repair_expansions, also when the run closes it mid-repair.
 
 A single worker degenerates to the sequential algorithm: post order then
 guarantees every accepting state a red search meets is already red, so
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from .automaton import BuchiAutomaton
 from .colors import BLUE, ColorStore
-from .results import Verdict, WorkerStats
+from .results import Verdict
 from .search import nested_search, race, worker_keys
 
 
@@ -45,16 +47,10 @@ def endfs(
         repair_keys = worker_keys(w, seed ^ 0x52455041)  # a separate permutation family
 
         def repair(root: int, stem: tuple[int, ...]):
-            rw = WorkerStats()
-            try:
-                return (yield from nested_search(
-                    aut, rw, flags=repair_flags, root=root, colors=repair_colors,
-                    keys=repair_keys, seen=repair_seen, stem=stem, racing=racing,
-                ))
-            finally:  # also when the run closes the repair
-                ws.repair_expansions += rw.blue_expansions + rw.red_expansions
-                if rw.max_stack_depth > ws.max_stack_depth:
-                    ws.max_stack_depth = rw.max_stack_depth
+            return nested_search(
+                aut, ws, flags=repair_flags, root=root, colors=repair_colors,
+                keys=repair_keys, seen=repair_seen, stem=stem, racing=racing,
+            )
 
         keys = (None, None) if w == 0 else worker_keys(w, seed)
         return nested_search(aut, ws, store=store, block=BLUE, keys=keys, racing=racing, repair=repair)

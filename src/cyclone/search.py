@@ -23,7 +23,8 @@ its count must be exact.  It also picks one of two red searches:
 - optimistic (ENDFS): blue backtrack publishes BLUE.  The red search
   marks the accepting states it meets uncleared as DANGEROUS, promotes
   its candidates to RED except dangerous ones, and hands a dangerous
-  root to the caller's repair.
+  root to the caller's repair.  A repair is itself a rooted call of this
+  engine, and a rooted call books its expansions as repair work.
 
 On a private array both reduce to the sequential algorithm: allred is
 the allred extension of ndfs and optimistic is plain ndfs.  A private
@@ -51,19 +52,20 @@ successors has nothing to reorder, so it is iterated straight from the
 automaton without a hash or a copy, as is every list of a canonical
 search without the bias.  And a permuted search hashes and permutes a
 list only when at least two of its successors are live when the state
-is pushed, that is, can still change the search:
-
-- blue: cyan, or unblocked and either white or under allred;
-- allred red: cyan, or neither pink nor blocked;
-- optimistic red: cyan, or not red.
+is pushed, that is, can still change the search.  A successor is live
+when it is cyan, or neither colored dead nor set in the plane that stops
+the search.  In blue that plane is the blocking one and dead is
+LOCAL_BLUE, or no color at all under allred, whose check reads each
+successor as it is iterated.  In red the plane is the blocking one under
+allred and RED otherwise, and dead is PINK; the optimistic searches
+color nothing pink, so there live means white and unblocked in blue and
+not red in red.
 
 Otherwise the list is searched in canonical order, with the same result
 as the permuted one.  Flag planes only gain flags and colors are
 private, so a successor that is not live when the list is built stays
 so, and iterating over it does nothing; with at most one live successor,
-where it sits among the others cannot matter.  Under allred every
-unblocked successor counts as live, because the allred check reads each
-successor as it is iterated.
+where it sits among the others cannot matter.
 """
 
 from __future__ import annotations
@@ -98,37 +100,20 @@ def _fresh(todo: list[int], visited: bytearray):
         yield todo.pop(k)
 
 
-def _blue_order(s, succs, key, colors, blk, allred, visited):
-    """The successors of s, just pushed in blue, in the order to search them.
+def _order(s, succs, key, colors, stop, dead, visited):
+    """The successors of s, just pushed, in the order to search them.
 
     They are permuted under key only when at least two are live: cyan, or
-    unblocked and either white or under allred.  With visited the result
-    is a _fresh generator over a list of its own, else a list.
+    neither colored dead nor set in stop, the plane that stops this
+    search.  With visited the result is a _fresh generator over a list of
+    its own, else a list.
     """
     out = succs
     if key is not None:
         live = False
         for t in succs:
             c = colors[t]
-            if c == WHITE and not blk[t] or c == CYAN or allred and not blk[t]:
-                if live:
-                    out = permute(succs, state_hash(key, s))
-                    break
-                live = True
-    if visited is None:
-        return out
-    return _fresh(list(out) if out is succs else out, visited)
-
-
-def _red_order(s, succs, key, colors, stop_red, visited):
-    """The same for s just pushed in red: live is cyan, or neither pink nor
-    set in stop_red, the plane that stops the red search."""
-    out = succs
-    if key is not None:
-        live = False
-        for t in succs:
-            c = colors[t]
-            if c != PINK and not stop_red[t] or c == CYAN:
+            if c == CYAN or c != dead and not stop[t]:
                 if live:
                     out = permute(succs, state_hash(key, s))
                     break
@@ -181,16 +166,18 @@ def nested_search(
     already entered or blocked returns None without work.  block is the
     flag whose plane stops the blue search of a shared call, and allred
     picks the counter-protected red search over the optimistic one.  keys
-    are the blue and red permutation keys (canonical order when None).
-    visited is the shared discovery bitset for the fresh-successor bias,
-    seen an optional bitset recording every state this call enters, stem
-    a path from the initial state to the root for lassos reported out of
-    rooted calls.  racing says the search takes turns under race, so it
-    yields every 64 steps.
+    are the blue and red permutation keys, both None (canonical order)
+    or both set.  visited is the shared discovery bitset for the
+    fresh-successor bias, seen an optional bitset recording every state
+    this call enters.  racing says the search takes turns under race, so
+    it yields every 64 steps.
     repair(root, stem) is a generator like this one that re-examines a
     dangerous red root of the optimistic search and returns a Lasso, or
-    None when the root is clean.  The counters reach ws when the search
-    returns or is closed.
+    None when the root is clean.  A call given a root is such a repair:
+    it searches from root instead of the initial state, stem is a path
+    from the initial state to root for the lassos it reports, and its
+    blue and red expansions are booked in ws as repair_expansions.  The
+    counters reach ws when the search returns or is closed.
     """
     n = aut.num_states
     post = aut.edges
@@ -208,19 +195,21 @@ def nested_search(
     # search marks them red at once instead, since alone nothing it meets
     # is dangerous and its promotion is certain.
     pink = bytearray(n) if shared else red
-    if root is None:
+    rooted = root is not None
+    if not rooted:
         root = aut.init
     key_blue, key_red = keys
     blue_exp = red_exp = waits = dangerous = 0
     maxd = ws.max_stack_depth
 
-    # A successor list shorter than its cut is searched straight from post:
-    # with no key and no bias nothing reorders it, and a list of 0-1
-    # successors has no order to change.
-    blue_cut = sys.maxsize if key_blue is None and visited is None else 2
-    red_cut = sys.maxsize if key_red is None and visited is None else 2
-    # the allred red search stops at blocked states, the optimistic one at
-    # red states; only allred colors states pink
+    # A successor list shorter than cut is searched straight from post:
+    # with no keys and no bias nothing reorders it, and a list of 0-1
+    # successors has no order to change.  The keys are set together.
+    cut = sys.maxsize if key_blue is None and visited is None else 2
+    # A blue successor colored LOCAL_BLUE is done, unless allred, which
+    # checks it as it is iterated.  The allred red search stops at blocked
+    # states, the optimistic one at red states; only allred colors pink.
+    dead_blue = -1 if allred else LOCAL_BLUE
     stop_red = blk if allred else red
 
     try:
@@ -235,8 +224,8 @@ def nested_search(
         # blue frame: [state, successor iterator, every successor came back
         # blocked]; red frame: [state, successor iterator]
         succ = post[root]
-        if len(succ) >= blue_cut:
-            succ = _blue_order(root, succ, key_blue, colors, blk, allred, visited)
+        if len(succ) >= cut:
+            succ = _order(root, succ, key_blue, colors, blk, dead_blue, visited)
         frames = [[root, iter(succ), True]]
         maxd = max(maxd, 1)
         tick = 0
@@ -261,8 +250,8 @@ def nested_search(
                     if seen is not None:
                         seen[t] = 1
                     succ = post[t]
-                    if len(succ) >= blue_cut:
-                        succ = _blue_order(t, succ, key_blue, colors, blk, allred, visited)
+                    if len(succ) >= cut:
+                        succ = _order(t, succ, key_blue, colors, blk, dead_blue, visited)
                     frames.append([t, iter(succ), True])
                     if len(frames) > maxd:
                         maxd = len(frames)
@@ -283,8 +272,8 @@ def nested_search(
                     colors[s] = PINK
                     red_exp += 1
                     succ = post[s]
-                    if len(succ) >= red_cut:
-                        succ = _red_order(s, succ, key_red, colors, stop_red, visited)
+                    if len(succ) >= cut:
+                        succ = _order(s, succ, key_red, colors, stop_red, PINK, visited)
                     rframes = [[s, iter(succ)]]
                     while rframes:
                         if racing:
@@ -313,8 +302,8 @@ def nested_search(
                             if seen is not None:
                                 seen[t] = 1
                             succ = post[t]
-                            if len(succ) >= red_cut:
-                                succ = _red_order(t, succ, key_red, colors, stop_red, visited)
+                            if len(succ) >= cut:
+                                succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)
                             rframes.append([t, iter(succ)])
                             d = len(frames) + len(rframes)
                             if d > maxd:
@@ -330,8 +319,8 @@ def nested_search(
                     pink[s] = 1
                     red_exp += 1
                     succ = post[s]
-                    if len(succ) >= red_cut:
-                        succ = _red_order(s, succ, key_red, colors, stop_red, visited)
+                    if len(succ) >= cut:
+                        succ = _order(s, succ, key_red, colors, stop_red, PINK, visited)
                     rframes = [[s, iter(succ)]]
                     while rframes:
                         if racing:
@@ -360,8 +349,8 @@ def nested_search(
                                 if seen is not None:
                                     seen[t] = 1
                                 succ = post[t]
-                                if len(succ) >= red_cut:
-                                    succ = _red_order(t, succ, key_red, colors, stop_red, visited)
+                                if len(succ) >= cut:
+                                    succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)
                                 rframes.append([t, iter(succ)])
                                 d = len(frames) + len(rframes)
                                 if d > maxd:
@@ -377,8 +366,11 @@ def nested_search(
             frames.pop()
         return None
     finally:
-        ws.blue_expansions += blue_exp
-        ws.red_expansions += red_exp
+        if rooted:
+            ws.repair_expansions += blue_exp + red_exp
+        else:
+            ws.blue_expansions += blue_exp
+            ws.red_expansions += red_exp
         ws.waits += waits
         ws.dangerous_marks += dangerous
         if maxd > ws.max_stack_depth:

@@ -46,7 +46,15 @@ def test_resolve_file_and_missing(tmp_path):
 
 @pytest.mark.parametrize(
     "spec",
-    ["lasso:2:3:maybe", "lasso:2:3", "random:10:x:0.1:1", "needle:4:10", "lasso:2:0:acc"],
+    [
+        "lasso:2:3:maybe",
+        "lasso:2:3",
+        "random:10:x:0.1:1",
+        "random:10:inf:0.1:1",
+        "random:10:nan:0.1:1",
+        "needle:4:10",
+        "lasso:2:0:acc",
+    ],
 )
 def test_bad_generator_specs_rejected(spec):
     with pytest.raises(InvalidConfig):

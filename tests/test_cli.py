@@ -89,6 +89,11 @@ def test_non_finite_timeout_exits_one(capsys, secs):
     assert f"bad timeout {secs}" in capsys.readouterr().err
 
 
+def test_non_finite_generator_degree_exits_one(capsys):
+    assert cli.main(["gen", "random:10:inf:0.1:1"]) == 1
+    assert "avg_out_degree must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", ["inf", "nan"])
 def test_non_finite_watchdog_environment_exits_one(monkeypatch, capsys, raw):
     monkeypatch.setenv("CYCLONE_WATCHDOG_SECS", raw)

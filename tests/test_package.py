@@ -1,5 +1,6 @@
 """The package surface: no public name shadows a submodule, every export resolves,
-and only the shared color store touches threads."""
+only the shared color store touches threads, and only the drivers build
+WorkerStats."""
 
 import ast
 import importlib
@@ -37,3 +38,14 @@ def test_only_colors_imports_threading():
             if any(n.split(".")[0] in ("threading", "_thread") for n in names):
                 importers.append(path.name)
     assert importers == ["colors.py"]
+
+
+def test_only_the_drivers_build_worker_stats():
+    # race books each worker's counters in one WorkerStats, and a repair is
+    # a rooted engine call that books into its caller's; owcty has its own
+    builders = set()
+    for path in sorted(Path(cyclone.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "WorkerStats":
+                builders.add(path.name)
+    assert builders == {"search.py", "owcty_map.py"}

@@ -10,15 +10,24 @@ requires the same lasso, winner and per-worker counters, and it requires
 the sweep as a whole to reach the shared-color protocols: counter waits,
 dangerous marks and repairs, in every detector that has them.
 
+A second test pins every run of every table algorithm on the same graphs,
+at 1-4 workers and seeds 0-2, to sha256 digests taken at commit 22476c1,
+before the repairs became plain rooted engine calls and the blue and red
+order functions became one; both changes keep every digest.
+
 The turns interleave whole steps only.  Preemption inside a step, which
 threads sharing a ColorStore could bring, is not explored here.
 """
 
 import dataclasses
+import hashlib
+import itertools
 
 from cyclone import (
+    ALGORITHM_TABLE,
     ColorStore,
     endfs,
+    execute,
     gen_needle,
     gen_random,
     has_accepting_cycle,
@@ -84,3 +93,52 @@ def test_sweep_is_sound_bounded_repeatable_and_shares_work():
     assert reached["lndfs"][0] > 0, reached
     assert reached["endfs"][1] > 0 and reached["endfs"][2] > 0, reached
     assert all(x > 0 for x in reached["nmc"]), reached
+
+
+# sha256 per (algorithm, workers) of every run of the grid below, taken at
+# commit 22476c1 (see the module docstring)
+FROZEN_GRID = {
+    ("ndfs", 1): "6771e44e6578dc920611762212519f70705e45e034a83dd66f13f8edc683aba5",
+    ("swarm", 1): "bdc0a1c6da10f3381d56b11007128e8fdcb91062b454517e106de6857ec562ad",
+    ("swarm", 2): "60e941288d43016abc06562c907746d8d8a72d07271dd4f76e9c65f8870a4ea7",
+    ("swarm", 3): "39dd62ced15351a993ba494fe5522faa838018e9b281c3dbf0553001b2492ee7",
+    ("swarm", 4): "6e97c8565fa705618ff6f2e04059772430efaffcdd5895681be930a6dffff018",
+    ("lndfs", 1): "1b7ed3aabc457ad7f26e96526fd31f3f0e0ba2e5140efc6afbab993557b19992",
+    ("lndfs", 2): "ab519177ea1f6deaf4f971b73e8bd55ae0797a1dfebb236841424224d8f4711c",
+    ("lndfs", 3): "d6eb4bdec36ac96cd72d59bdcaa7ae8a8d8ca0991d41c06794a10654dbaae2be",
+    ("lndfs", 4): "b432d1b527b457f56e882cbf6ce93cab79a5c8d2d4a9bedfa0d996538b2c0737",
+    ("endfs", 1): "4c933e41574e621185c97a601f39f5dc41979a2cf17eaa6732186d04cc6c6bfe",
+    ("endfs", 2): "cc4f8331d154e14b75afc6e38183f4de060042bc3913121da4d3b12b09197ff2",
+    ("endfs", 3): "65e2a226ebd6253a094a5e635ac1c6f6bffc6f767fb4142c8ab0de35ecd98343",
+    ("endfs", 4): "75c6fb1340ade0f250631bdd56234d1eed0c07f97c54a1947f6d16e663b36597",
+    ("nmc", 1): "4c933e41574e621185c97a601f39f5dc41979a2cf17eaa6732186d04cc6c6bfe",
+    ("nmc", 2): "779f4c98f29fb42185957b3fc673c71d55e9c0e938c80b9af21f39371fae3266",
+    ("nmc", 3): "79abe17a203e2ba0f6216024c2e4c5a6613824460dd7932ceda642b1602bf34d",
+    ("nmc", 4): "f8bceeec2f5af2bb734cacbb6707af2aff3f4b9b470e6a1b564366b099e398c1",
+    ("owcty", 1): "5c616192a1ebd79259cf872f24c117b8efabc3295e66d4719d9591fd07e4ed21",
+}
+
+
+def _grid_digests():
+    """Digest each (algorithm, workers) over _graphs(), seeds 0-2 and every
+    heuristic and allred setting the algorithm takes: the lasso, winner,
+    per-worker counters and extras of each run, in grid order."""
+    digests = {}
+    for (_, a), (alg, row) in itertools.product(list(_graphs()), ALGORITHM_TABLE.items()):
+        for n, seed, heuristic, allred in itertools.product(
+            range(1, 5) if row.parallel else (1,),
+            range(3),
+            (False, True) if row.heuristic else (False,),
+            (False, True) if row.allred else (False,),
+        ):
+            v = execute(a, alg, n, seed, heuristic, allred, timeout=0)
+            workers = [dataclasses.astuple(w) for w in v.stats.workers]
+            run = (v.lasso, v.winner, workers, sorted(v.stats.extras.items()))
+            digests.setdefault((alg, n), hashlib.sha256()).update(repr(run).encode())
+    return {k: h.hexdigest() for k, h in digests.items()}
+
+
+def test_racing_runs_match_their_frozen_digests():
+    # verdict, lasso, winner and every counter of 1,944 runs, each of them
+    # deterministic under the turn driver
+    assert _grid_digests() == FROZEN_GRID
