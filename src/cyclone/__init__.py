@@ -5,16 +5,14 @@ from .automaton import (
     DanglingStateId,
     DuplicateEdge,
     MalformedHeader,
-    OrderKind,
-    SuccessorOrder,
     ZeroCycle,
     gen_lasso,
     gen_needle,
     gen_random,
-    order_key,
     parse_automaton,
     permute,
     state_hash,
+    worker_keys,
 )
 from .bench import (
     ALGORITHM_TABLE,
@@ -67,10 +65,8 @@ __all__ = [
     "Lasso",
     "MalformedHeader",
     "MapResult",
-    "OrderKind",
     "ReporterSlot",
     "RunConfig",
-    "SuccessorOrder",
     "SweepRow",
     "UnderflowFault",
     "Verdict",
@@ -91,7 +87,6 @@ __all__ = [
     "map_pass",
     "ndfs",
     "nmc_ndfs",
-    "order_key",
     "owcty",
     "parse_automaton",
     "permute",
@@ -103,6 +98,7 @@ __all__ = [
     "sweep",
     "validate_lasso",
     "witness_lasso",
+    "worker_keys",
     "write_csv",
     "write_sweep_csv",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 _M64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -112,13 +111,11 @@ def parse_automaton(text: str) -> BuchiAutomaton:
         raise MalformedHeader(1, "empty input, expected 'states N'")
 
     def _int(no, tok, what):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise MalformedHeader(no, f"{what} is not an integer: {tok!r}") from None
-        if v < 0:
-            raise MalformedHeader(no, f"{what} is negative: {tok!r}")
-        return v
+        # ASCII digits only: int() would also take signs, underscores and
+        # non-ASCII digits
+        if not (tok.isascii() and tok.isdigit()):
+            raise MalformedHeader(no, f"{what} is not a decimal integer: {tok!r}")
+        return int(tok)
 
     no, toks = rows[0]
     if toks[0] != "states" or len(toks) != 2:
@@ -171,19 +168,6 @@ def parse_automaton(text: str) -> BuchiAutomaton:
 # Worker-specific successor orders.
 
 
-class OrderKind(IntEnum):
-    BLUE = 0
-    RED = 1
-
-
-@dataclass(frozen=True, slots=True)
-class SuccessorOrder:
-    """Names one worker's blue and red successor orders: (worker, seed)."""
-
-    worker_id: int
-    seed: int
-
-
 def _mix(h: int) -> int:
     # splitmix64 finalizer; cheap and well distributed
     h &= _M64
@@ -192,9 +176,10 @@ def _mix(h: int) -> int:
     return h ^ (h >> 31)
 
 
-def order_key(worker_id: int, seed: int, kind: int) -> int:
-    """Precomputed per-(worker, seed, kind) key feeding per-state hashes."""
-    return _mix(_mix(seed * _GOLD + worker_id) ^ ((kind + 1) * 0xD1B54A32D192ED03))
+def worker_keys(worker_id: int, seed: int) -> tuple[int, int]:
+    """The (blue, red) permutation keys of one worker under seed, fed to state_hash."""
+    h = _mix(seed * _GOLD + worker_id)
+    return _mix(h ^ 0xD1B54A32D192ED03), _mix(h ^ (2 * 0xD1B54A32D192ED03))
 
 
 def permute(succs: list[int], h: int) -> list[int]:

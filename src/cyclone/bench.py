@@ -20,7 +20,7 @@ from pathlib import Path
 from statistics import fmean
 from time import perf_counter
 
-from .automaton import BuchiAutomaton, SuccessorOrder, gen_lasso, gen_needle, gen_random, parse_automaton
+from .automaton import BuchiAutomaton, gen_lasso, gen_needle, gen_random, parse_automaton
 from .colors import ColorStore
 from .nmc import nmc_ndfs
 from .optimistic import endfs
@@ -57,7 +57,7 @@ class Algorithm:
 # can patch one
 ALGORITHM_TABLE: dict[str, Algorithm] = {
     "ndfs": Algorithm(
-        lambda aut, seed, allred, deadline, **_: ndfs(aut, SuccessorOrder(0, seed), allred, deadline),
+        lambda aut, seed, allred, deadline, **_: ndfs(aut, seed, allred, deadline),
         allred=True,
     ),
     "swarm": Algorithm(
@@ -226,8 +226,9 @@ def execute(
     timeout seconds after the call raises WatchdogTimeout; a non-positive
     timeout disables the watchdog, and a non-finite one is rejected with
     InvalidConfig, as are an unknown algorithm and an option it does not
-    take.  A pre-built store may be passed for the shared-color
-    algorithms to inspect colors afterwards.
+    take.  A lasso that fails validate_lasso raises VerdictCorrupt.  A
+    pre-built store may be passed for the shared-color algorithms to
+    inspect colors afterwards.
     """
     if timeout is None:
         timeout = watchdog_secs()
@@ -236,11 +237,14 @@ def execute(
     alg = _checked(algorithm, workers, seed, heuristic, allred)
     deadline = perf_counter() + timeout if timeout > 0 else None
     try:
-        return alg.run(
+        v = alg.run(
             aut, workers=workers, seed=seed, heuristic=heuristic, allred=allred, store=store, deadline=deadline
         )
     except WatchdogTimeout:
         raise WatchdogTimeout(f"{algorithm} exceeded {timeout:.1f}s budget") from None
+    if v.lasso is not None and not validate_lasso(aut, v.lasso):
+        raise VerdictCorrupt(f"{algorithm} returned an invalid lasso")
+    return v
 
 
 def _record(cfg: RunConfig, repeat: int, seed: int, v: Verdict) -> BenchRecord:
@@ -271,9 +275,10 @@ def run(cfg: RunConfig, aut: BuchiAutomaton | None = None, timeout: float | None
     out = []
     for k in range(cfg.repeats):
         seed = cfg.seed + k
-        v = execute(aut, cfg.algorithm, cfg.workers, seed, cfg.heuristic, cfg.allred, timeout=timeout)
-        if v.lasso is not None and not validate_lasso(aut, v.lasso):
-            raise VerdictCorrupt(f"{cfg.algorithm} returned an invalid lasso on {cfg.input}")
+        try:
+            v = execute(aut, cfg.algorithm, cfg.workers, seed, cfg.heuristic, cfg.allred, timeout=timeout)
+        except VerdictCorrupt as e:
+            raise VerdictCorrupt(f"{e} on {cfg.input}") from None
         out.append(_record(cfg, k, seed, v))
     return out
 

@@ -189,6 +189,8 @@ def _cmd_dist(args) -> int:
     with _user_data():
         dist = EmpiricalDistribution.from_samples(_read_samples(args.file, args.alg, args.input))
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
+    if not ns:
+        raise _UsageError(f"need at least one swarm size, got {args.ns!r}")
     if any(n < 1 for n in ns):
         raise _UsageError(f"swarm sizes must be >= 1, got {args.ns}")
     rows = []

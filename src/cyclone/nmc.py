@@ -1,15 +1,17 @@
 """nmc: endfs with swarmed repairs instead of sequential ones.
 
 The main pass is the optimistic engine of endfs.  What this adds is how
-a dangerous root is repaired: it opens a shared repair task, and the
-finder roots an allred pass at it; any worker arriving at the same root
-merges in as a helper, and workers whose own pass already completed pick
-open tasks off the board until every pass and every repair is done.
-Each participation is a rooted call of the engine on the worker's own
-counters, which books its expansions as repair_expansions.  Each worker
-is a generator, as the engine is: a repair runs under the engine's yield
-from, and a worker whose pass is done but finds nothing open yields its
-turn to the workers that may still open a task.
+a dangerous root is repaired: repair(stem), handed the blue stack that
+ends at the root, opens a shared repair task, and the finder roots an
+allred pass at it; any worker arriving at the same root merges in as a
+helper, and workers whose own pass already completed pick open tasks off
+the board until every pass and every repair is done.  Each participation
+is a call of the engine given the task's stem, which roots it at the
+stem's end and books its expansions on the worker's own counters as
+repair_expansions.  Each worker is a generator, as the engine is: a
+repair runs under the engine's yield from, and a worker whose pass is
+done but finds nothing open yields its turn to the workers that may
+still open a task.
 Workers take turns in one thread, so the board needs no lock.
 
 Repairs block on, and publish, their own SAFE flag under the counter
@@ -30,10 +32,10 @@ most once in blue and once in red.
 
 from __future__ import annotations
 
-from .automaton import BuchiAutomaton
+from .automaton import BuchiAutomaton, worker_keys
 from .colors import BLUE, SAFE, ColorStore
 from .results import Verdict, WorkerStats
-from .search import nested_search, race, worker_keys
+from .search import nested_search, race
 
 
 class _RepairTask:
@@ -41,8 +43,8 @@ class _RepairTask:
 
     __slots__ = ("root", "stem", "joiners")
 
-    def __init__(self, root: int, stem: tuple[int, ...]):
-        self.root = root
+    def __init__(self, stem: tuple[int, ...]):
+        self.root = stem[-1]
         self.stem = stem
         self.joiners = 0
 
@@ -60,6 +62,7 @@ def nmc_ndfs(
     """
     if store is None:
         store = ColorStore(aut.num_states, aut.accepting)
+    blue, safe = store.plane(BLUE), store.plane(SAFE)
     repair_seen = bytearray(aut.num_states)
     tasks: dict[int, _RepairTask] = {}
     mains_done = 0
@@ -67,7 +70,7 @@ def nmc_ndfs(
     def participate(task: _RepairTask, ws: WorkerStats, racing: bool):
         task.joiners += 1
         return nested_search(
-            aut, ws, store=store, block=SAFE, allred=True, root=task.root,
+            aut, ws, store=store, block=safe, allred=True,
             keys=worker_keys(task.joiners - 1, seed ^ (task.root * 0x1000193)),
             seen=repair_seen, stem=task.stem, racing=racing,
         )
@@ -75,21 +78,20 @@ def nmc_ndfs(
     def body(w, ws, racing):
         nonlocal mains_done
 
-        def repair(root: int, stem: tuple[int, ...]):
-            task = tasks.get(root)
+        def repair(stem: tuple[int, ...]):
+            task = tasks.get(stem[-1])
             if task is None:
-                task = tasks[root] = _RepairTask(root, stem)
+                task = tasks[stem[-1]] = _RepairTask(stem)
             else:
                 ws.helper_joins += 1
             return participate(task, ws, racing)
 
-        keys = (None, None) if w == 0 else worker_keys(w, seed)
-        res = yield from nested_search(aut, ws, store=store, block=BLUE, keys=keys, racing=racing, repair=repair)
+        keys = None if w == 0 else worker_keys(w, seed)
+        res = yield from nested_search(aut, ws, store=store, block=blue, keys=keys, racing=racing, repair=repair)
         if res is not None:
             return res
         mains_done += 1
         # own pass done: help with whatever repairs are still open
-        safe = store.plane(SAFE)
         while True:
             task = next((t for t in tasks.values() if not safe[t.root]), None)
             if task is not None:

@@ -7,12 +7,13 @@ a nested red search; an edge into a cyan state there is a cycle through
 the red root.  A call enters each state at most once in blue and once in
 red, so its expansions never exceed twice the number of states.
 
-Each call picks, once, the byte plane whose set states stop the blue
-search: a private array (ndfs, swarm, the repairs of endfs), or the
-ColorStore plane of RED (lndfs), of SAFE (the repairs of nmc) or of
-BLUE (endfs).  Publishing a flag is a plain store of 1 into its plane;
-only a DANGEROUS mark goes through the store's locked set_flag, because
-its count must be exact.  It also picks one of two red searches:
+Each call is handed, once, the byte plane whose set states stop the
+blue search: a private array (ndfs, swarm, the repairs of endfs), or
+the ColorStore plane of RED (lndfs), of SAFE (the repairs of nmc) or of
+BLUE (endfs and the main passes of nmc).  Publishing a flag is a plain
+store of 1 into its plane; only a DANGEROUS mark goes through the
+store's locked set_flag, because its count must be exact.  A call also
+picks one of two red searches:
 
 - allred (LNDFS): a state whose successors all came back blocked is
   blocked itself, and the red search publishes the blocking flag at
@@ -23,8 +24,9 @@ its count must be exact.  It also picks one of two red searches:
 - optimistic (ENDFS): blue backtrack publishes BLUE.  The red search
   marks the accepting states it meets uncleared as DANGEROUS, promotes
   its candidates to RED except dangerous ones, and hands a dangerous
-  root to the caller's repair.  A repair is itself a rooted call of this
-  engine, and a rooted call books its expansions as repair work.
+  root to the caller's repair, along with the blue stack that reached
+  it.  A repair is itself a call of this engine given that stem, which
+  roots it at the stem's end and books its expansions as repair work.
 
 On a private array both reduce to the sequential algorithm: allred is
 the allred extension of ndfs and optimistic is plain ndfs.  A private
@@ -73,14 +75,9 @@ from __future__ import annotations
 import sys
 from time import perf_counter
 
-from .automaton import BuchiAutomaton, OrderKind, SuccessorOrder, order_key, permute, state_hash
+from .automaton import BuchiAutomaton, permute, state_hash, worker_keys
 from .colors import CYAN, DANGEROUS, LOCAL_BLUE, PINK, RED, WHITE, ColorStore, ReporterSlot
 from .results import Lasso, Verdict, WorkerStats, WorkStats, check_deadline
-
-
-def worker_keys(w: int, seed: int) -> tuple[int, int]:
-    """The (blue, red) permutation keys of worker w under seed."""
-    return order_key(w, seed, OrderKind.BLUE), order_key(w, seed, OrderKind.RED)
 
 
 def _fresh(todo: list[int], visited: bytearray):
@@ -145,12 +142,10 @@ def nested_search(
     ws: WorkerStats,
     *,
     store: ColorStore | None = None,
-    flags: bytearray | None = None,
-    block: int = RED,
+    block: bytearray | None = None,
     allred: bool = False,
-    root: int | None = None,
     colors: bytearray | None = None,
-    keys: tuple[int | None, int | None] = (None, None),
+    keys: tuple[int, int] | None = None,
     visited: bytearray | None = None,
     seen: bytearray | None = None,
     stem: tuple[int, ...] = (),
@@ -159,34 +154,32 @@ def nested_search(
 ):
     """One worker's nested search, a generator that returns a Lasso or None.
 
-    With a store the search reads and publishes the store's flag planes;
-    without one it uses flags, a private plane (fresh when None) that
-    blocks and marks red at once.  colors and flags may come from an
-    earlier call (the repairs of endfs reuse them across roots); a root
-    already entered or blocked returns None without work.  block is the
-    flag whose plane stops the blue search of a shared call, and allred
-    picks the counter-protected red search over the optimistic one.  keys
-    are the blue and red permutation keys, both None (canonical order)
-    or both set.  visited is the shared discovery bitset for the
+    block is the byte plane whose set states stop the blue search: a
+    store plane (RED, BLUE or SAFE) or a private one, fresh when None.
+    With a store the red search publishes to its RED and DANGEROUS
+    planes; without one block marks red as well.  colors and block may
+    come from an earlier call (the repairs of endfs reuse them across
+    roots); a root already entered or blocked returns None without work.
+    allred picks the counter-protected red search over the optimistic
+    one.  keys is a (blue, red) pair from worker_keys, or None for
+    canonical order.  visited is the shared discovery bitset for the
     fresh-successor bias, seen an optional bitset recording every state
     this call enters.  racing says the search takes turns under race, so
     it yields every 64 steps.
-    repair(root, stem) is a generator like this one that re-examines a
-    dangerous red root of the optimistic search and returns a Lasso, or
-    None when the root is clean.  A call given a root is such a repair:
-    it searches from root instead of the initial state, stem is a path
-    from the initial state to root for the lassos it reports, and its
-    blue and red expansions are booked in ws as repair_expansions.  The
-    counters reach ws when the search returns or is closed.
+    repair(stem) is a generator like this one that re-examines the
+    dangerous root at the end of stem, the blue stack from the initial
+    state, and returns a Lasso, or None when the root is clean.  A call
+    given a stem is such a repair: it searches from stem[-1], reports
+    its lassos through stem, and books its expansions in ws as
+    repair_expansions.  The counters reach ws when the search returns or
+    is closed.
     """
     n = aut.num_states
     post = aut.edges
     amask = aut.accept_mask
     shared = store is not None
-    if shared:
-        blk, red, dng = store.plane(block), store.plane(RED), store.plane(DANGEROUS)
-    else:
-        blk = red = flags if flags is not None else bytearray(n)
+    blk = bytearray(n) if block is None else block
+    red, dng = (store.plane(RED), store.plane(DANGEROUS)) if shared else (blk, None)
     if colors is None:
         colors = bytearray(n)
     # The optimistic red search marks what it entered in pink, apart from
@@ -195,17 +188,16 @@ def nested_search(
     # search marks them red at once instead, since alone nothing it meets
     # is dangerous and its promotion is certain.
     pink = bytearray(n) if shared else red
-    rooted = root is not None
-    if not rooted:
-        root = aut.init
-    key_blue, key_red = keys
+    rooted = bool(stem)
+    root = stem[-1] if rooted else aut.init
+    key_blue, key_red = (None, None) if keys is None else keys
     blue_exp = red_exp = waits = dangerous = 0
     maxd = ws.max_stack_depth
 
     # A successor list shorter than cut is searched straight from post:
     # with no keys and no bias nothing reorders it, and a list of 0-1
-    # successors has no order to change.  The keys are set together.
-    cut = sys.maxsize if key_blue is None and visited is None else 2
+    # successors has no order to change.
+    cut = sys.maxsize if keys is None and visited is None else 2
     # A blue successor colored LOCAL_BLUE is done, unless allred, which
     # checks it as it is iterated.  The allred red search stops at blocked
     # states, the optimistic one at red states; only allred colors pink.
@@ -360,7 +352,7 @@ def nested_search(
                             if r == s or not dng[r]:
                                 red[r] = 1
                         if dng[s]:
-                            res = yield from repair(s, tuple(fr[0] for fr in frames))
+                            res = yield from repair(tuple(fr[0] for fr in frames))
                             if res is not None:
                                 return res
             frames.pop()
@@ -417,20 +409,20 @@ def race(n_workers: int, body, deadline: float | None = None) -> Verdict:
 
 def ndfs(
     aut: BuchiAutomaton,
-    order: SuccessorOrder | None = None,
+    seed: int | None = None,
     allred: bool = False,
     deadline: float | None = None,
 ) -> Verdict:
     """Sequential accepting-cycle detector.
 
-    order picks the successor permutations (canonical order when None);
-    the blue and red orders both derive from its worker and seed.  allred enables the extension that promotes
-    a state to red when every successor came back red, skipping provably
-    redundant red searches.  A run still going at deadline (a
+    seed picks worker 0's blue and red successor permutations under it
+    (canonical order when None).  allred enables the extension that
+    promotes a state to red when every successor came back red, skipping
+    provably redundant red searches.  A run still going at deadline (a
     perf_counter() value; the bench watchdog sets one) raises
     WatchdogTimeout.
     """
-    keys = (None, None) if order is None else worker_keys(order.worker_id, order.seed)
+    keys = None if seed is None else worker_keys(0, seed)
     return race(
         1, lambda w, ws, racing: nested_search(aut, ws, allred=allred, keys=keys, racing=racing), deadline
     )

@@ -10,10 +10,10 @@ half-finished sibling red search from being pruned.
 
 from __future__ import annotations
 
-from .automaton import BuchiAutomaton
-from .colors import ColorStore
+from .automaton import BuchiAutomaton, worker_keys
+from .colors import RED, ColorStore
 from .results import Verdict
-from .search import nested_search, race, worker_keys
+from .search import nested_search, race
 
 
 def lndfs(
@@ -32,10 +32,11 @@ def lndfs(
     """
     if store is None:
         store = ColorStore(aut.num_states, aut.accepting)
+    red = store.plane(RED)
     visited = bytearray(aut.num_states) if heuristic else None
 
     def body(w, ws, racing):
-        keys = (None, None) if w == 0 else worker_keys(w, seed)
-        return nested_search(aut, ws, store=store, allred=True, keys=keys, visited=visited, racing=racing)
+        keys = None if w == 0 else worker_keys(w, seed)
+        return nested_search(aut, ws, store=store, block=red, allred=True, keys=keys, visited=visited, racing=racing)
 
     return race(n_workers, body, deadline)

@@ -7,9 +7,9 @@ bias.
 
 from __future__ import annotations
 
-from .automaton import BuchiAutomaton
+from .automaton import BuchiAutomaton, worker_keys
 from .results import Verdict
-from .search import nested_search, race, worker_keys
+from .search import nested_search, race
 
 
 def swarm_ndfs(

@@ -11,16 +11,15 @@ from cyclone import (
     DanglingStateId,
     DuplicateEdge,
     MalformedHeader,
-    OrderKind,
     ZeroCycle,
     gen_lasso,
     gen_needle,
     gen_random,
     has_accepting_cycle,
-    order_key,
     parse_automaton,
     permute,
     state_hash,
+    worker_keys,
 )
 from strategies import automata
 
@@ -63,6 +62,25 @@ def test_parse_errors_carry_line_numbers(text, exc, line):
     assert str(ei.value).startswith(f"line {line}:")
 
 
+@pytest.mark.parametrize("tok", ["+3", "1_0", "\u0663", "-0", "+1"])
+@pytest.mark.parametrize(
+    "template,line",
+    [
+        ("states {}\ninit 0\naccepting\n", 1),
+        ("states 20\ninit {}\naccepting\n", 2),
+        ("states 20\ninit 0\naccepting 1 {}\n", 3),
+        ("states 20\ninit 0\naccepting\ntrans 0 1\ntrans {} 0\n", 5),
+        ("states 20\ninit 0\naccepting\ntrans 0 1\ntrans 0 {}\n", 5),
+    ],
+)
+def test_ids_are_ascii_digit_strings(tok, template, line):
+    # int() would take each of these (a sign, an underscore, an
+    # Arabic-Indic digit), and every one is below the state count
+    with pytest.raises(MalformedHeader) as ei:
+        parse_automaton(template.format(tok))
+    assert ei.value.line == line and repr(tok) in str(ei.value)
+
+
 def test_duplicate_successors_rejected_on_construction():
     # only the parser knows line numbers, so this is a plain ValueError
     with pytest.raises(ValueError, match="duplicate successor"):
@@ -100,7 +118,7 @@ def test_permute_pairs_take_both_orders():
 def test_workers_get_distinct_orders():
     xs = list(range(8))
     orders = {
-        tuple(permute(xs, state_hash(order_key(w, 0, OrderKind.BLUE), 0)))
+        tuple(permute(xs, state_hash(worker_keys(w, 0)[0], 0)))
         for w in range(16)
     }
     assert len(orders) > 8  # mostly distinct over 8! possibilities
@@ -108,7 +126,8 @@ def test_workers_get_distinct_orders():
 
 def test_blue_and_red_keys_differ():
     for w in range(8):
-        assert order_key(w, 3, OrderKind.BLUE) != order_key(w, 3, OrderKind.RED)
+        blue, red = worker_keys(w, 3)
+        assert blue != red
 
 
 # --- generators -----------------------------------------------------------

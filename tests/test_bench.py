@@ -262,17 +262,17 @@ def test_unreadable_input_file_is_input_not_found(tmp_path):
 
 
 def test_invalid_lasso_is_reported_not_recorded(monkeypatch):
-    def liar(aut, order=None, allred=False, deadline=None):
+    def liar(aut, seed=None, allred=False, deadline=None):
         bogus = Lasso((0,), (0,), 0)
         return Verdict(bogus, WorkStats([WorkerStats()], 0.0), winner=0)
 
     monkeypatch.setattr(bench, "ndfs", liar)
-    with pytest.raises(VerdictCorrupt):
+    with pytest.raises(VerdictCorrupt, match="invalid lasso on lasso:2:3:acc"):
         run(RunConfig("ndfs", "lasso:2:3:acc"), timeout=0)
 
 
 def test_sweep_oracle_check_catches_wrong_verdicts(monkeypatch):
-    def denier(aut, order=None, allred=False, deadline=None):
+    def denier(aut, seed=None, allred=False, deadline=None):
         return Verdict(None, WorkStats([WorkerStats()], 0.0))
 
     monkeypatch.setattr(bench, "ndfs", denier)

@@ -2,8 +2,9 @@
 
 import pytest
 
+import cyclone.bench as bench
 import cyclone.cli as cli
-from cyclone import Verdict, WatchdogTimeout, WorkerStats, WorkStats
+from cyclone import Lasso, Verdict, WatchdogTimeout, WorkerStats, WorkStats
 
 
 def test_gen_then_check_round_trip(tmp_path, capsys):
@@ -72,6 +73,16 @@ def test_oracle_disagreement_exits_two(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "execute", denier)
     assert cli.main(["check", "lasso:2:3:acc", "--oracle"]) == 2
+
+
+def test_invalid_lasso_exits_two_before_printing(monkeypatch, capsys):
+    def liar(aut, *args, **kwargs):
+        return Verdict(Lasso((0,), (0,), 0), WorkStats([WorkerStats()], 0.0), winner=0)
+
+    monkeypatch.setattr(bench, "ndfs", liar)
+    assert cli.main(["check", "lasso:2:3:noacc"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid lasso" in err
 
 
 def test_watchdog_timeout_exits_three(monkeypatch, capsys):
@@ -196,6 +207,7 @@ def test_dist_writes_model_table_csv(tmp_path, capsys):
     ("input,alg,workers\nx,ndfs,1\n", "2", "no wall_time_s field"),
     ("2.0\n4.0\n", "1,x", "invalid literal"),
     ("2.0\n4.0\n", "0", "swarm sizes must be >= 1"),
+    ("2.0\n4.0\n", ",", "need at least one swarm size"),
 ])
 def test_dist_rejects_bad_samples_and_sizes(tmp_path, capsys, text, ns, message):
     raw = tmp_path / "times.txt"

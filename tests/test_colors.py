@@ -116,7 +116,7 @@ def _waiting_search():
     store = ColorStore(a.num_states, a.accepting)
     store.counter_adjust(0, 1)
     ws = WorkerStats()
-    return store, ws, nested_search(a, ws, store=store, allred=True)
+    return store, ws, nested_search(a, ws, store=store, block=store.plane(RED), allred=True)
 
 
 def test_counter_wait_yields_until_the_counter_drains():

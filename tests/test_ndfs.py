@@ -8,8 +8,6 @@ import hypothesis.strategies as st
 from cyclone import (
     BuchiAutomaton,
     ColorStore,
-    OrderKind,
-    SuccessorOrder,
     WorkerStats,
     endfs,
     gen_lasso,
@@ -18,10 +16,10 @@ from cyclone import (
     lndfs,
     ndfs,
     nmc_ndfs,
-    order_key,
     validate_lasso,
+    worker_keys,
 )
-from cyclone.colors import BLUE
+from cyclone.colors import BLUE, RED
 from cyclone.search import nested_search
 from strategies import automata, finish
 
@@ -61,7 +59,7 @@ def test_verdict_matches_oracle(a):
 
 @given(automata(max_states=8), st.integers(0, 2**32))
 def test_verdict_matches_oracle_under_permutation(a, seed):
-    v = ndfs(a, SuccessorOrder(0, seed))
+    v = ndfs(a, seed)
     assert v.cycle_found == has_accepting_cycle(a)
     if v.lasso is not None:
         assert validate_lasso(a, v.lasso)
@@ -69,8 +67,8 @@ def test_verdict_matches_oracle_under_permutation(a, seed):
 
 @given(automata(max_states=8), st.integers(0, 2**32))
 def test_allred_same_verdict_fewer_or_equal_red(a, seed):
-    plain = ndfs(a, SuccessorOrder(0, seed))
-    pruned = ndfs(a, SuccessorOrder(0, seed), allred=True)
+    plain = ndfs(a, seed)
+    pruned = ndfs(a, seed, allred=True)
     assert plain.cycle_found == pruned.cycle_found
     assert pruned.stats.red_expansions <= plain.stats.red_expansions
 
@@ -78,7 +76,7 @@ def test_allred_same_verdict_fewer_or_equal_red(a, seed):
 @given(automata(max_states=8), st.integers(0, 2**32))
 def test_work_bound_two_visits_per_state(a, seed):
     for allred in (False, True):
-        v = ndfs(a, SuccessorOrder(0, seed), allred=allred)
+        v = ndfs(a, seed, allred=allred)
         total = v.stats.blue_expansions + v.stats.red_expansions
         assert total <= 2 * a.num_states
 
@@ -87,7 +85,7 @@ def test_mid_size_random_graphs_agree_with_oracle():
     for seed in range(40):
         a = gen_random(80, 2.0, 0.15, seed)
         want = has_accepting_cycle(a)
-        v = ndfs(a, SuccessorOrder(0, seed))
+        v = ndfs(a, seed)
         assert v.cycle_found == want
         if v.lasso is not None:
             assert validate_lasso(a, v.lasso)
@@ -141,26 +139,26 @@ def test_permuted_ndfs_orders_are_frozen():
         a = _mixed_degree_graph(80, 0.05, seed)
         assert {min(len(succ), 3) for succ in a.edges} == {0, 1, 2, 3}
         for flag, counts in ((False, plain), (True, allred)):
-            v = ndfs(a, SuccessorOrder(0, seed), allred=flag)
+            v = ndfs(a, seed, allred=flag)
             assert _shape(v.lasso) == lasso
             assert (v.stats.blue_expansions, v.stats.red_expansions) == counts
 
 
 def test_permuted_shared_color_passes_are_frozen():
-    def no_repair(root, stem):
+    def no_repair(stem):
         raise AssertionError("a lone optimistic pass never marks a state dangerous")
 
     for seed, (lasso, lcounts, ecounts) in _SHARED_GOLDEN.items():
         a = _mixed_degree_graph(80, 0.05, seed)
-        keys = (order_key(1, seed, OrderKind.BLUE), order_key(1, seed, OrderKind.RED))
+        keys = worker_keys(1, seed)
         ws = WorkerStats()
         store = ColorStore(a.num_states, a.accepting)
-        res = finish(nested_search(a, ws, store=store, allred=True, keys=keys))
+        res = finish(nested_search(a, ws, store=store, block=store.plane(RED), allred=True, keys=keys))
         assert _shape(res) == lasso
         assert (ws.blue_expansions, ws.red_expansions) == lcounts
         ws = WorkerStats()
         store = ColorStore(a.num_states, a.accepting)
-        res = finish(nested_search(a, ws, store=store, block=BLUE, keys=keys, repair=no_repair))
+        res = finish(nested_search(a, ws, store=store, block=store.plane(BLUE), keys=keys, repair=no_repair))
         assert _shape(res) == lasso
         assert (ws.blue_expansions, ws.red_expansions) == ecounts
 

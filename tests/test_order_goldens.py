@@ -16,18 +16,16 @@ import random
 from cyclone import (
     BuchiAutomaton,
     ColorStore,
-    OrderKind,
-    SuccessorOrder,
     WorkerStats,
     lndfs,
     ndfs,
-    order_key,
     swarm_ndfs,
     validate_lasso,
+    worker_keys,
 )
 import cyclone.search
-from cyclone.colors import BLUE, WHITE
-from cyclone.search import nested_search, worker_keys
+from cyclone.colors import BLUE, RED, WHITE
+from cyclone.search import nested_search
 from strategies import finish
 
 
@@ -94,24 +92,24 @@ def _run(a, lasso, ws):
 def _observe(a: BuchiAutomaton, seed: int):
     out = []
     for allred in (False, True):
-        v = ndfs(a, SuccessorOrder(0, seed), allred=allred)
+        v = ndfs(a, seed, allred=allred)
         out.append(_run(a, v.lasso, v.stats.workers[0]))
     v = swarm_ndfs(a, 1, seed, heuristic=True)
     out.append(_run(a, v.lasso, v.stats.workers[0]))
     # one shared-color pass each under worker 1's keys: allred, optimistic
-    keys = (order_key(1, seed, OrderKind.BLUE), order_key(1, seed, OrderKind.RED))
+    keys = worker_keys(1, seed)
     ws = WorkerStats()
     store = ColorStore(a.num_states, a.accepting)
-    res = finish(nested_search(a, ws, store=store, allred=True, keys=keys))
+    res = finish(nested_search(a, ws, store=store, block=store.plane(RED), allred=True, keys=keys))
     out.append(_run(a, res, ws))
     ws = WorkerStats()
     store = ColorStore(a.num_states, a.accepting)
-    res = finish(nested_search(a, ws, store=store, block=BLUE, keys=keys, repair=_no_repair))
+    res = finish(nested_search(a, ws, store=store, block=store.plane(BLUE), keys=keys, repair=_no_repair))
     out.append(_run(a, res, ws))
     return tuple(out)
 
 
-def _no_repair(root, stem):
+def _no_repair(stem):
     raise AssertionError("a lone optimistic pass never marks a state dangerous")
 
 
@@ -231,11 +229,11 @@ def test_permute_skips_lists_with_at_most_one_live_successor(monkeypatch):
     monkeypatch.setattr(cyclone.search, "permute", counting)
     k = 2
     a = _graph(k)
-    # the engine call behind ndfs(a, SuccessorOrder(0, k)), with its
+    # the engine call behind ndfs(a, k), with its
     # colors and red plane kept to count what it entered
     colors, red = bytearray(a.num_states), bytearray(a.num_states)
     ws = WorkerStats()
-    res = finish(nested_search(a, ws, flags=red, colors=colors, keys=worker_keys(0, k)))
+    res = finish(nested_search(a, ws, block=red, colors=colors, keys=worker_keys(0, k)))
     assert _run(a, res, ws) == _GOLDEN[k][0]
     assert sum(c != WHITE for c in colors) == ws.blue_expansions
     assert sum(red) == ws.red_expansions

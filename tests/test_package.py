@@ -1,10 +1,11 @@
 """The package surface: no public name shadows a submodule, every export resolves,
-only the shared color store touches threads, and only the drivers build
-WorkerStats."""
+the README's library example runs, only the shared color store touches
+threads, and only the drivers build WorkerStats."""
 
 import ast
 import importlib
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -21,6 +22,13 @@ def test_every_submodule_is_reachable_as_a_package_attribute():
 def test_every_exported_name_resolves():
     for name in cyclone.__all__:
         assert hasattr(cyclone, name), name
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_only_colors_imports_threading():

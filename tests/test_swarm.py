@@ -7,7 +7,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from cyclone import (
-    SuccessorOrder,
     WatchdogTimeout,
     WorkerStats,
     endfs,
@@ -19,6 +18,7 @@ from cyclone import (
     nmc_ndfs,
     swarm_ndfs,
     validate_lasso,
+    worker_keys,
 )
 from cyclone import search
 from strategies import automata
@@ -28,7 +28,7 @@ def test_one_worker_is_the_sequential_detector():
     """Same seed, same path, same counters; only wall time may differ."""
     for seed in (0, 5, 21):
         a = gen_random(60, 2.5, 0.25, seed)
-        v1 = ndfs(a, SuccessorOrder(0, seed))
+        v1 = ndfs(a, seed)
         v2 = swarm_ndfs(a, 1, seed)
         assert v1.lasso == v2.lasso
         w1, w2 = v1.stats.workers[0], v2.stats.workers[0]
@@ -67,7 +67,7 @@ def test_past_deadline_raises_before_any_expansion():
     def body(w, ws, racing):
         assert racing
         stats.append(ws)
-        return search.nested_search(a, ws, keys=search.worker_keys(w, 0), racing=racing)
+        return search.nested_search(a, ws, keys=worker_keys(w, 0), racing=racing)
 
     with pytest.raises(WatchdogTimeout):
         search.race(2, body, deadline=perf_counter() - 1)
@@ -152,12 +152,12 @@ def test_heuristic_shares_discoveries():
 def test_only_racing_workers_yield():
     a = gen_random(2000, 2.0, 0.0, 1)
     ws = WorkerStats()
-    lone = search.nested_search(a, ws, keys=search.worker_keys(0, 0))
+    lone = search.nested_search(a, ws, keys=worker_keys(0, 0))
     with pytest.raises(StopIteration) as done:
         next(lone)
     assert done.value.value is None and ws.blue_expansions > 64
     ws = WorkerStats()
-    racing = search.nested_search(a, ws, keys=search.worker_keys(0, 0), racing=True)
+    racing = search.nested_search(a, ws, keys=worker_keys(0, 0), racing=True)
     assert next(racing) is None
     assert ws.blue_expansions == 0  # counted when the search ends
     racing.close()
