@@ -20,11 +20,17 @@ missed.  In-degrees live in a list: they are counted once, over the
 first round's closure, and decremented as predecessors leave, whether a
 later closure missed them or they were stripped.
 
+The initial closure is one paths.bfs_tree walk from init, which also
+records each reachable state's breadth-first parent.  Every lasso's stem
+is read off that tree with paths.tree_path: the shortest path from init,
+the one bfs_path(aut, aut.init, target) returns, so no stem costs a
+second walk of the reachable graph.  A lasso's cycle comes from
+cycle_through, which runs only once a cycle is known to exist.
+
 The expansion count is the work of both phases: each state the initial
 closure reaches, each queue pop of the propagation, and each state kept
-or stripped in a fixpoint round.  The breadth-first walks that build a
-lasso (bfs_path, cycle_through) run only once a cycle is known to exist,
-and stay uncounted.
+or stripped in a fixpoint round.  The lasso's cycle walks stay
+uncounted.
 
 A deadline, when given, is read every 1,024 pops of the propagation,
 before each phase of a fixpoint round, and before each accepting state
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .automaton import BuchiAutomaton
-from .paths import bfs_order, bfs_path, cycle_through
+from .paths import bfs_order, bfs_tree, cycle_through, tree_path
 from .results import Lasso, Verdict, WorkerStats, WorkStats, check_deadline
 
 
@@ -50,13 +56,16 @@ class MapResult:
     """Outcome of one propagation pass: a lasso, or the stable id table.
 
     reach is the set of states reachable from the initial state, pops the
-    work done: one per state of reach, plus one per queue pop.
+    work done: one per state of reach, plus one per queue pop.  parent is
+    the breadth-first tree of the walk from init that found reach, as
+    paths.bfs_tree returns it; paths.tree_path reads a lasso's stem off it.
     """
 
     lasso: Lasso | None
     table: list[int]
     pops: int
     reach: set[int]
+    parent: list[int | None]
 
 
 def map_pass(aut: BuchiAutomaton, deadline: float | None = None) -> MapResult:
@@ -68,7 +77,8 @@ def map_pass(aut: BuchiAutomaton, deadline: float | None = None) -> MapResult:
     """
     amask = aut.accept_mask
     edges = aut.edges
-    reach = set(bfs_order(aut, [aut.init]))
+    order, parent = bfs_tree(aut, aut.init)
+    reach = set(order)
     table = [0] * aut.num_states
     # the pops, the table and the first cycle seen all follow the order of
     # this queue, so it is seeded in the iteration order of the set
@@ -84,12 +94,12 @@ def map_pass(aut: BuchiAutomaton, deadline: float | None = None) -> MapResult:
                 if amask[t] and val == t + 1:
                     # t's own id came back around: a cycle through t
                     cycle = cycle_through(aut, t)
-                    stem = bfs_path(aut, aut.init, t)
+                    stem = tree_path(parent, t)
                     assert cycle is not None and stem is not None
-                    return MapResult(Lasso(tuple(stem), tuple(cycle), 0), table, pops, reach)
+                    return MapResult(Lasso(tuple(stem), tuple(cycle), 0), table, pops, reach, parent)
                 table[t] = val
                 queue.append(t)
-    return MapResult(None, table, pops, reach)
+    return MapResult(None, table, pops, reach, parent)
 
 
 def owcty(aut: BuchiAutomaton, deadline: float | None = None) -> Verdict:
@@ -156,7 +166,7 @@ def owcty(aut: BuchiAutomaton, deadline: float | None = None) -> Verdict:
             check_deadline(deadline)
             cycle = cycle_through(aut, a)
             if cycle is not None:
-                stem = bfs_path(aut, aut.init, a)
+                stem = tree_path(mr.parent, a)
                 assert stem is not None
                 lasso = Lasso(tuple(stem), tuple(cycle), 0)
                 break

@@ -1,11 +1,22 @@
 """Breadth-first path and closure kernels over automaton graphs.
 
-Each walk keeps its visited states in a bytearray mask with one byte per
-state, uses the list of states it has entered as its queue (iterated
-while it is appended to), and, where it builds a path, keeps beside that
-list the queue index of each state's parent.  A walk restricted to a
-subset of states starts from a mask in which every state outside the
-subset is already marked, so an edge costs one byte test either way.
+Every walk uses the list of states it has entered as its queue (iterated
+while it is appended to), takes each state's edges in canonical order,
+and marks a state when it first enters it.  bfs_order and bfs_path keep
+their marks in a bytearray mask with one byte per state; a walk
+restricted to a subset of states starts from a mask in which every state
+outside the subset is already marked, so an edge costs one byte test
+either way.  bfs_path also keeps, beside its queue, the queue index of
+each state's parent, and stops at its target.
+
+bfs_tree walks everything reachable from one root and keeps each
+entered state's parent in a list indexed by state, which is also its
+mark: None means not entered.  Under CPython 3.11 a list slot is read
+and written faster than a bytearray byte, so the walk that records the
+tree runs faster than bfs_order's plain closure.  tree_path reads the
+path from the root to any reached state off that list.  It is the path
+bfs_path returns from the same root, because both walks enter every
+state from the same parent.
 """
 
 from __future__ import annotations
@@ -40,6 +51,36 @@ def bfs_order(aut: BuchiAutomaton, roots, seen: bytearray | None = None) -> list
 def reachable_from(aut: BuchiAutomaton, roots) -> set[int]:
     """Forward closure of roots."""
     return set(bfs_order(aut, roots))
+
+
+def bfs_tree(aut: BuchiAutomaton, root: int) -> tuple[list[int], list[int | None]]:
+    """The states reachable from root in breadth-first order, and their parents.
+
+    parent[s] is the state whose edge first entered s, root for root
+    itself, and None for every state the walk did not reach.
+    """
+    edges = aut.edges
+    parent: list[int | None] = [None] * aut.num_states
+    parent[root] = root
+    order = [root]
+    for s in order:
+        for t in edges[s]:
+            if parent[t] is None:
+                parent[t] = s
+                order.append(t)
+    return order, parent
+
+
+def tree_path(parent: list[int | None], target: int) -> list[int] | None:
+    """The tree path from bfs_tree's root to target, or None if unreached."""
+    if parent[target] is None:
+        return None
+    path = [target]
+    while (up := parent[target]) != target:
+        path.append(up)
+        target = up
+    path.reverse()
+    return path
 
 
 def bfs_path(

@@ -1,9 +1,10 @@
 """Text format, generators, and successor permutations."""
 
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from cyclone import (
@@ -62,23 +63,59 @@ def test_parse_errors_carry_line_numbers(text, exc, line):
     assert str(ei.value).startswith(f"line {line}:")
 
 
+# every position of a number in the text format, and its line
+_ID_SLOTS = [
+    ("states {}\ninit 0\naccepting\n", 1),
+    ("states 20\ninit {}\naccepting\n", 2),
+    ("states 20\ninit 0\naccepting 1 {}\n", 3),
+    ("states 20\ninit 0\naccepting\ntrans 0 1\ntrans {} 0\n", 5),
+    ("states 20\ninit 0\naccepting\ntrans 0 1\ntrans 0 {}\n", 5),
+]
+
+
 @pytest.mark.parametrize("tok", ["+3", "1_0", "\u0663", "-0", "+1"])
-@pytest.mark.parametrize(
-    "template,line",
-    [
-        ("states {}\ninit 0\naccepting\n", 1),
-        ("states 20\ninit {}\naccepting\n", 2),
-        ("states 20\ninit 0\naccepting 1 {}\n", 3),
-        ("states 20\ninit 0\naccepting\ntrans 0 1\ntrans {} 0\n", 5),
-        ("states 20\ninit 0\naccepting\ntrans 0 1\ntrans 0 {}\n", 5),
-    ],
-)
+@pytest.mark.parametrize("template,line", _ID_SLOTS)
 def test_ids_are_ascii_digit_strings(tok, template, line):
     # int() would take each of these (a sign, an underscore, an
     # Arabic-Indic digit), and every one is below the state count
     with pytest.raises(MalformedHeader) as ei:
         parse_automaton(template.format(tok))
     assert ei.value.line == line and repr(tok) in str(ei.value)
+
+
+@pytest.mark.parametrize("tok", ["0" * 5000, "1" * 4301])
+@pytest.mark.parametrize("template,line", _ID_SLOTS)
+def test_overlong_ids_are_typed_errors(tok, template, line):
+    # past 4,300 digits int() raises a bare ValueError, even for a zero
+    with pytest.raises(MalformedHeader) as ei:
+        parse_automaton(template.format(tok))
+    assert ei.value.line == line
+    assert str(ei.value).startswith(f"line {line}:")
+
+
+# every character str.split() separates at besides space, tab and LF
+_STRAY_SPACES = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+
+
+@pytest.mark.parametrize("ws", _STRAY_SPACES)
+@pytest.mark.parametrize(
+    "template,line",
+    [
+        ("states{}2\ninit 0\naccepting\n", 1),
+        ("states 2\ninit 0{}\r\naccepting\n", 2),
+        ("states 2\ninit 0\naccepting 0{}1\n", 3),
+        ("states 2\ninit 0\naccepting\ntrans 0{}1 # ok\n", 4),
+    ],
+)
+def test_only_spaces_and_tabs_separate_tokens(ws, template, line):
+    with pytest.raises(MalformedHeader) as ei:
+        parse_automaton(template.format(ws))
+    assert ei.value.line == line
+
+
+def test_crlf_lines_and_spaces_inside_comments_parse():
+    text = "states 2\r\ninit 1\r\naccepting 0 1 # \u3000\x0b\r\r\ntrans 1\t0\r\n"
+    assert parse_automaton(text) == parse_automaton("states 2\ninit 1\naccepting 0 1\ntrans 1 0\n")
 
 
 def test_duplicate_successors_rejected_on_construction():
@@ -90,6 +127,51 @@ def test_duplicate_successors_rejected_on_construction():
 @given(automata())
 def test_text_round_trip(a):
     assert parse_automaton(a.to_text()) == a
+
+
+@st.composite
+def _mutated_texts(draw):
+    lines = draw(automata(max_states=6)).to_text().split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        op = draw(st.sampled_from(["drop", "repeat", "swap", "tokens", "insert"]))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "tokens":
+            toks = lines[i].split(" ")
+            k, m = (draw(st.integers(0, len(toks) - 1)) for _ in range(2))
+            tok_op = draw(st.sampled_from(["drop", "repeat", "swap"]))
+            if tok_op == "drop":
+                del toks[k]
+            elif tok_op == "repeat":
+                toks.insert(k, toks[k])
+            else:
+                toks[k], toks[m] = toks[m], toks[k]
+            lines[i] = " ".join(toks)
+        else:
+            at = draw(st.integers(0, len(lines[i])))
+            bit = draw(st.sampled_from(["0", "3", "9", "17", "#", "trans", " ", "\t", "\n", *_STRAY_SPACES]))
+            lines[i] = lines[i][:at] + bit + lines[i][at:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400)
+@given(_mutated_texts())
+def test_mutated_text_parses_or_raises_a_typed_error(text):
+    # a states count is one run of digits: none above 10,000, so no
+    # example allocates a large successor table
+    assume(all(int(d) <= 10_000 for d in re.findall("[0-9]+", text)))
+    try:
+        a = parse_automaton(text)
+    except (MalformedHeader, DanglingStateId, DuplicateEdge) as e:
+        assert 1 <= e.line <= text.count("\n") + 1
+        assert str(e).startswith(f"line {e.line}:")
+    else:
+        assert parse_automaton(a.to_text()) == a
 
 
 # --- successor permutations ---------------------------------------------

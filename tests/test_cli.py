@@ -221,3 +221,12 @@ def test_dist_with_no_matching_rows_exits_one(tmp_path, capsys):
     assert cli.main(["bench", "lasso:2:3:acc", "--algs", "ndfs", "-o", str(rec)]) == 0
     capsys.readouterr()
     assert cli.main(["dist", str(rec), "--alg", "lndfs"]) == 1
+
+
+def test_overlong_id_exits_one_with_its_line(tmp_path, capsys):
+    path = tmp_path / "long.aut"
+    path.write_text("states 2\ninit 0\naccepting\ntrans 0 " + "0" * 5000 + "\n")
+    assert cli.main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: target state")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
