@@ -93,8 +93,9 @@ def test_overlong_ids_are_typed_errors(tok, template, line):
     assert str(ei.value).startswith(f"line {line}:")
 
 
-# every character str.split() separates at besides space, tab and LF
-_STRAY_SPACES = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+# every character str.split() separates at besides space, tab and LF;
+# U+3000 is the highest whitespace code point
+_STRAY_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in " \t\n"]
 
 
 @pytest.mark.parametrize("ws", _STRAY_SPACES)
