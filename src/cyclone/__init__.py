@@ -1,104 +1,59 @@
-"""Multi-core accepting-cycle detection for Büchi automata."""
+"""Multi-core accepting-cycle detection for Büchi automata.
 
-from .automaton import (
-    BuchiAutomaton,
-    DanglingStateId,
-    DuplicateEdge,
-    MalformedHeader,
-    ZeroCycle,
-    gen_lasso,
-    gen_needle,
-    gen_random,
-    parse_automaton,
-    permute,
-    state_hash,
-    worker_keys,
-)
-from .bench import (
-    ALGORITHM_TABLE,
-    CSV_HEADER,
-    BenchRecord,
-    InputNotFound,
-    InvalidConfig,
-    RunConfig,
-    SweepRow,
-    VerdictCorrupt,
-    WatchdogTimeout,
-    execute,
-    resolve_input,
-    run,
-    sweep,
-    write_csv,
-    write_sweep_csv,
-)
-from .colors import ColorStore, ReporterSlot, UnderflowFault
-from .nmc import nmc_ndfs
-from .optimistic import endfs
-from .oracle import (
-    enumerate_accepting_cycle,
-    has_accepting_cycle,
-    sccs_from_init,
-    validate_lasso,
-    witness_lasso,
-)
-from .owcty_map import MapResult, map_pass, owcty
-from .results import Lasso, Verdict, WorkerStats, WorkStats
-from .search import ndfs
-from .shared_red import lndfs
-from .stats import EmpiricalDistribution, EmptyDistribution, ZeroTime
-from .swarm import swarm_ndfs
+The public names load lazily (PEP 562): `import cyclone` imports no
+submodule, and the first access to a name in __all__ imports the one
+module that defines it.  So `cyclone check --alg ndfs` never compiles
+the other detectors.  A submodule's name reaches the module itself, as
+an attribute of the package, whether it was imported before or not.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHM_TABLE",
-    "BenchRecord",
-    "BuchiAutomaton",
-    "CSV_HEADER",
-    "ColorStore",
-    "DanglingStateId",
-    "DuplicateEdge",
-    "EmpiricalDistribution",
-    "EmptyDistribution",
-    "InputNotFound",
-    "InvalidConfig",
-    "Lasso",
-    "MalformedHeader",
-    "MapResult",
-    "ReporterSlot",
-    "RunConfig",
-    "SweepRow",
-    "UnderflowFault",
-    "Verdict",
-    "VerdictCorrupt",
-    "WatchdogTimeout",
-    "WorkStats",
-    "WorkerStats",
-    "ZeroCycle",
-    "ZeroTime",
-    "endfs",
-    "enumerate_accepting_cycle",
-    "execute",
-    "gen_lasso",
-    "gen_needle",
-    "gen_random",
-    "has_accepting_cycle",
-    "lndfs",
-    "map_pass",
-    "ndfs",
-    "nmc_ndfs",
-    "owcty",
-    "parse_automaton",
-    "permute",
-    "resolve_input",
-    "run",
-    "sccs_from_init",
-    "state_hash",
-    "swarm_ndfs",
-    "sweep",
-    "validate_lasso",
-    "witness_lasso",
-    "worker_keys",
-    "write_csv",
-    "write_sweep_csv",
-]
+# each public name, by the module that defines it
+_EXPORTS = {
+    "automaton": (
+        "BuchiAutomaton", "DanglingStateId", "DuplicateEdge", "MalformedHeader", "ZeroCycle",
+        "gen_lasso", "gen_needle", "gen_random", "parse_automaton", "permute", "state_hash", "worker_keys",
+    ),
+    "bench": (
+        "ALGORITHM_TABLE", "CSV_HEADER", "BenchRecord", "InputNotFound", "InvalidConfig", "RunConfig",
+        "SweepRow", "VerdictCorrupt", "execute", "resolve_input", "run", "sweep", "write_csv",
+        "write_sweep_csv",
+    ),
+    "colors": ("ColorStore", "ReporterSlot", "UnderflowFault"),
+    "nmc": ("nmc_ndfs",),
+    "optimistic": ("endfs",),
+    "oracle": (
+        "enumerate_accepting_cycle", "has_accepting_cycle", "sccs_from_init", "validate_lasso", "witness_lasso",
+    ),
+    "owcty_map": ("MapResult", "map_pass", "owcty"),
+    "results": ("Lasso", "Verdict", "WatchdogTimeout", "WorkerStats", "WorkStats"),
+    "search": ("ndfs",),
+    "shared_red": ("lndfs",),
+    "stats": ("EmpiricalDistribution", "EmptyDistribution", "ZeroTime"),
+    "swarm": ("swarm_ndfs",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+        globals()[name] = value  # later lookups skip this function
+        return value
+    if not name.startswith("_"):
+        try:
+            return importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as e:
+            if e.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,6 +21,8 @@ _GOLD = 0x9E3779B97F4A7C15
 # character str.split() separates at only if it holds one of these (CR is
 # allowed at a line's end only).
 _ODD_ASCII_SPACE = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# the longest token or line an error message quotes in full
+_QUOTE_CHARS = 40
 
 
 class _LineError(ValueError):
@@ -107,8 +109,78 @@ def parse_automaton(text: str) -> BuchiAutomaton:
     CRLF files parse.  Tokens are separated by ASCII spaces and tabs
     only: any other whitespace before a line's '#' is an error.
     Raises MalformedHeader, DanglingStateId, or DuplicateEdge with the
-    offending 1-based line number.
+    offending 1-based line number; the message quotes at most a short
+    prefix of the offending token or line.
+
+    A plain text (ASCII, no '#', no CR or other stray whitespace) first
+    goes through a bulk path that splits everything after the three
+    header lines with one str.split() and checks the whole shape at once.
+    Any text it does not accept, valid or not, is parsed again by the
+    line path, the only one that reports an error and its line.  Neither
+    path allocates the successor lists before every line is checked.
     """
+    if text.isascii() and "#" not in text and not any(c in text for c in _ODD_ASCII_SPACE):
+        aut = _parse_bulk(text)
+        if aut is not None:
+            return aut
+    return _parse_lines(text)
+
+
+def _parse_bulk(text: str) -> BuchiAutomaton | None:
+    """The automaton of a plain, valid text whose first three lines are its headers; else None.
+
+    The caller has checked that text is ASCII and holds no '#' and no
+    whitespace but spaces, tabs and LF.
+    """
+    head = text.split("\n", 3)
+    if len(head) < 4:
+        return None
+    h_states, h_init, h_acc, rest = head[0].split(), head[1].split(), head[2].split(), head[3]
+    if (len(h_states) != 2 or h_states[0] != "states" or len(h_init) != 2 or h_init[0] != "init"
+            or not h_acc or h_acc[0] != "accepting"):
+        return None
+    ids = [h_states[1], h_init[1], *h_acc[1:]]
+    toks = rest.split()
+    # one 'trans' line per line of rest: every line then starts with its
+    # own 'trans' and holds exactly three tokens
+    lines = rest.count("\n")
+    if rest and not rest.endswith("\n"):
+        lines += 1
+    if len(toks) != 3 * lines or toks[::3].count("trans") != lines:
+        return None
+    if lines and not (rest.startswith("trans") and rest.count("\ntrans") == lines - 1):
+        return None
+    srcs, dsts = toks[1::3], toks[2::3]
+    del toks
+    # int() also takes a sign or underscores; ASCII isdigit() is 0-9 only
+    if not "".join(ids).isdigit() or (lines and not ("".join(srcs).isdigit() and "".join(dsts).isdigit())):
+        return None
+    try:
+        n, init, *accepting = map(int, ids)
+        srcs = list(map(int, srcs))
+        dsts = list(map(int, dsts))
+    except ValueError:  # past the interpreter's limit on digits
+        return None
+    if not (0 <= init < n) or (accepting and max(accepting) >= n):
+        return None
+    # an edge s -> t is the pair key s * n + t
+    if lines and (max(srcs) >= n or max(dsts) >= n or len({s * n + t for s, t in zip(srcs, dsts)}) != lines):
+        return None
+    edges: list[list[int]] = [[] for _ in range(n)]
+    for s, t in zip(srcs, dsts):
+        edges[s].append(t)
+    return BuchiAutomaton(n, init, frozenset(accepting), edges)
+
+
+def _quote(s: str) -> str:
+    """repr(s), cut to a short prefix and its full length when s is long."""
+    if len(s) <= _QUOTE_CHARS:
+        return repr(s)
+    return f"{s[:_QUOTE_CHARS]!r}... ({len(s)} characters)"
+
+
+def _parse_lines(text: str) -> BuchiAutomaton:
+    """parse_automaton's line path: every text, and every error with its line."""
     if not text.isascii() or any(c in text for c in _ODD_ASCII_SPACE):
         # rare, so files without such characters skip the per-line scan;
         # compiling the pattern raises a run's peak memory by about 0.1 MB
@@ -132,7 +204,7 @@ def parse_automaton(text: str) -> BuchiAutomaton:
         # ASCII digits only: int() would also take signs, underscores and
         # non-ASCII digits
         if not (tok.isascii() and tok.isdigit()):
-            raise MalformedHeader(no, f"{what} is not a decimal integer: {tok!r}")
+            raise MalformedHeader(no, f"{what} is not a decimal integer: {_quote(tok)}")
         try:
             return int(tok)
         except ValueError:  # past the interpreter's limit on digits
@@ -140,7 +212,7 @@ def parse_automaton(text: str) -> BuchiAutomaton:
 
     no, toks = rows[0]
     if toks[0] != "states" or len(toks) != 2:
-        raise MalformedHeader(no, f"expected 'states N', got {' '.join(toks)!r}")
+        raise MalformedHeader(no, f"expected 'states N', got {_quote(' '.join(toks))}")
     n = _int(no, toks[1], "state count")
     if n < 1:
         raise MalformedHeader(no, "state count must be at least 1")
@@ -149,7 +221,7 @@ def parse_automaton(text: str) -> BuchiAutomaton:
         raise MalformedHeader(no, "missing 'init I' line")
     no, toks = rows[1]
     if toks[0] != "init" or len(toks) != 2:
-        raise MalformedHeader(no, f"expected 'init I', got {' '.join(toks)!r}")
+        raise MalformedHeader(no, f"expected 'init I', got {_quote(' '.join(toks))}")
     init = _int(no, toks[1], "init state")
     if init >= n:
         raise DanglingStateId(no, f"init state {init} >= states {n}")
@@ -158,7 +230,7 @@ def parse_automaton(text: str) -> BuchiAutomaton:
         raise MalformedHeader(no, "missing 'accepting' line")
     no, toks = rows[2]
     if toks[0] != "accepting":
-        raise MalformedHeader(no, f"expected 'accepting [id ...]', got {' '.join(toks)!r}")
+        raise MalformedHeader(no, f"expected 'accepting [id ...]', got {_quote(' '.join(toks))}")
     accepting = set()
     for tok in toks[1:]:
         a = _int(no, tok, "accepting state")
@@ -166,11 +238,11 @@ def parse_automaton(text: str) -> BuchiAutomaton:
             raise DanglingStateId(no, f"accepting state {a} >= states {n}")
         accepting.add(a)
 
-    edges: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
+    # every edge once, in file order; the lists come after the last check
+    seen: dict[tuple[int, int], None] = {}
     for no, toks in rows[3:]:
         if toks[0] != "trans" or len(toks) != 3:
-            raise MalformedHeader(no, f"expected 'trans SRC DST', got {' '.join(toks)!r}")
+            raise MalformedHeader(no, f"expected 'trans SRC DST', got {_quote(' '.join(toks))}")
         s = _int(no, toks[1], "source state")
         t = _int(no, toks[2], "target state")
         if s >= n:
@@ -179,9 +251,11 @@ def parse_automaton(text: str) -> BuchiAutomaton:
             raise DanglingStateId(no, f"target state {t} >= states {n}")
         if (s, t) in seen:
             raise DuplicateEdge(no, f"edge {s} -> {t} declared twice")
-        seen.add((s, t))
-        edges[s].append(t)
+        seen[s, t] = None
 
+    edges: list[list[int]] = [[] for _ in range(n)]
+    for s, t in seen:
+        edges[s].append(t)
     return BuchiAutomaton(n, init, frozenset(accepting), edges)
 
 

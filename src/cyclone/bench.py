@@ -12,24 +12,19 @@ finite number of seconds.
 from __future__ import annotations
 
 import csv
+import importlib
 import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
-from statistics import fmean
 from time import perf_counter
 
 from .automaton import BuchiAutomaton, gen_lasso, gen_needle, gen_random, parse_automaton
 from .colors import ColorStore
-from .nmc import nmc_ndfs
-from .optimistic import endfs
 from .oracle import has_accepting_cycle, validate_lasso
-from .owcty_map import owcty
 from .results import Verdict, WatchdogTimeout
 from .search import ndfs
-from .shared_red import lndfs
-from .swarm import swarm_ndfs
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,6 +47,29 @@ class Algorithm:
     shared: bool = False
     lenient: bool = False
 
+
+def _imported(module: str, name: str) -> Callable[..., Verdict]:
+    """The detector name of cyclone.<module>, which its first call imports.
+
+    So a run imports only the detector it runs; each later call goes
+    straight to the function.
+    """
+    fn = None
+
+    def call(*args):
+        nonlocal fn
+        if fn is None:
+            fn = getattr(importlib.import_module(f".{module}", __package__), name)
+        return fn(*args)
+
+    return call
+
+
+swarm_ndfs = _imported("swarm", "swarm_ndfs")
+lndfs = _imported("shared_red", "lndfs")
+endfs = _imported("optimistic", "endfs")
+nmc_ndfs = _imported("nmc", "nmc_ndfs")
+owcty = _imported("owcty_map", "owcty")
 
 # the lambdas look detectors up by module global at call time, so a test
 # can patch one
@@ -327,7 +345,7 @@ def sweep(
     cells: dict[tuple, list[BenchRecord]] = {}
     for r in records:
         cells.setdefault((r.input, r.alg, r.workers), []).append(r)
-    means = {key: fmean(rs.wall_time_s for rs in rows) for key, rows in cells.items()}
+    means = {key: math.fsum(r.wall_time_s for r in rows) / len(rows) for key, rows in cells.items()}
 
     aggregates = []
     for (inp, alg, workers), rows in cells.items():

@@ -99,6 +99,9 @@ def nmc_ndfs(
                 res = yield from participate(task, ws, racing)
                 if res is not None:
                     return res
+                # a completed participation leaves its root SAFE; were it
+                # not, this loop would re-join the task without yielding
+                assert safe[task.root], f"repair of {task.root} completed but left it unsafe"
             elif mains_done == n_workers:
                 return None
             else:

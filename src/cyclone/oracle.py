@@ -5,12 +5,16 @@ against, so it shares no traversal logic with them: the decision comes
 from an iterative Tarjan SCC pass over the subgraph reachable from init,
 kept here and calling nothing of the detectors.  An accepting cycle
 exists iff some reachable SCC contains an accepting state and is
-non-trivial (two or more states, or one state with a self-loop).  Only
-the witness lasso of a cyclic verdict borrows the breadth-first path
-helpers of paths.py.
+non-trivial (two or more states, or one state with a self-loop).  Tarjan
+closes a component only once it is complete, so the decision stops at
+the first accepting non-trivial one to close and leaves the rest of the
+graph unread.  Only the witness lasso of a cyclic verdict borrows the
+breadth-first path helpers of paths.py.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .automaton import BuchiAutomaton
 from .paths import bfs_path, cycle_through
@@ -26,12 +30,16 @@ def sccs_from_init(aut: BuchiAutomaton) -> list[list[int]]:
     taken in edge order; components come out in reverse topological
     order, each listed from the last state pushed down to its root.
     """
+    return list(_tarjan(aut))
+
+
+def _tarjan(aut: BuchiAutomaton) -> Iterator[list[int]]:
+    """sccs_from_init's components, each yielded as it closes."""
     edges = aut.edges
     index = [-1] * aut.num_states
     low = [0] * aut.num_states
     on_stack = bytearray(aut.num_states)
     stack: list[int] = []
-    comps: list[list[int]] = []
     init = aut.init
     index[init] = low[init] = 0
     counter = 1
@@ -59,7 +67,7 @@ def sccs_from_init(aut: BuchiAutomaton) -> list[list[int]]:
                 if stack[-1] == s:
                     stack.pop()
                     on_stack[s] = 0
-                    comps.append([s])
+                    yield [s]
                     continue
                 k = len(stack) - 2
                 while stack[k] != s:
@@ -69,16 +77,15 @@ def sccs_from_init(aut: BuchiAutomaton) -> list[list[int]]:
                 comp.reverse()
                 for w in comp:
                     on_stack[w] = 0
-                comps.append(comp)
+                yield comp
             elif ls < low[frames[-1][0]]:
                 low[frames[-1][0]] = ls
-    return comps
 
 
 def _accepting_cycle_scc(aut: BuchiAutomaton) -> list[int] | None:
-    """An SCC witnessing an accepting cycle, or None."""
+    """The first SCC to close that witnesses an accepting cycle, or None."""
     amask = aut.accept_mask
-    for comp in sccs_from_init(aut):
+    for comp in _tarjan(aut):
         if len(comp) > 1:
             if any(amask[s] for s in comp):
                 return comp

@@ -1,5 +1,6 @@
 """Shared test inputs: hypothesis strategies for small automata, a layered
-graph builder, and a driver for a lone search."""
+graph builder, a driver for a lone search, and a successor table that
+counts its reads."""
 
 import random
 
@@ -55,3 +56,13 @@ def finish(search):
     except StopIteration as done:
         return done.value
     raise AssertionError("a lone search yielded")
+
+
+class ReadCounted(list):
+    """A successor table that counts how often a walk reads a state's list."""
+
+    reads = 0
+
+    def __getitem__(self, s):
+        self.reads += 1
+        return super().__getitem__(s)

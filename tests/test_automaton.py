@@ -1,7 +1,11 @@
 """Text format, generators, and successor permutations."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +26,7 @@ from cyclone import (
     state_hash,
     worker_keys,
 )
+from cyclone.automaton import _parse_bulk, _parse_lines
 from strategies import automata
 
 
@@ -128,6 +133,8 @@ def test_duplicate_successors_rejected_on_construction():
 @given(automata())
 def test_text_round_trip(a):
     assert parse_automaton(a.to_text()) == a
+    # the bulk path takes every canonical text
+    assert _parse_bulk(a.to_text()) == a
 
 
 @st.composite
@@ -173,6 +180,64 @@ def test_mutated_text_parses_or_raises_a_typed_error(text):
         assert str(e).startswith(f"line {e.line}:")
     else:
         assert parse_automaton(a.to_text()) == a
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (MalformedHeader, DanglingStateId, DuplicateEdge) as e:
+        return type(e), e.line, str(e)
+
+
+@settings(max_examples=400)
+@given(_mutated_texts())
+def test_bulk_and_line_paths_agree(text):
+    # parse_automaton takes the bulk path where it can; the line path
+    # must give the same automaton, or the same error at the same line
+    assume(all(int(d) <= 10_000 for d in re.findall("[0-9]+", text)))
+    assert _outcome(parse_automaton, text) == _outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text,line,length",
+    [
+        ("states 2\ninit " + "x" * 5000 + "\naccepting\n", 2, 5000),
+        ("states 2\ninit" + "x" * 5000 + "\naccepting\n", 2, 5004),
+        ("states 2\ninit 0\naccepting\ntrans 0 1 " + " ".join(["1"] * 3000) + "\n", 4, 6009),
+    ],
+    ids=["long-init-token", "long-init-line", "long-trans-line"],
+)
+def test_parse_errors_quote_a_bounded_prefix(text, line, length):
+    with pytest.raises(MalformedHeader) as ei:
+        parse_automaton(text)
+    msg = str(ei.value)
+    assert ei.value.line == line and msg.startswith(f"line {line}:")
+    assert len(msg) < 200
+    assert f"({length} characters)" in msg
+
+
+_HUGE_HEADER_PROBE = """
+import resource, sys, tracemalloc
+# a parser that allocates before it checks gets a MemoryError here, not
+# the whole machine's memory
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cyclone import MalformedHeader, parse_automaton
+tracemalloc.start()
+try:
+    parse_automaton("states 1000000000000\\ninit 0\\naccepting\\ntrans 0 x\\n")
+except MalformedHeader as e:
+    print(e.line, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_a_bad_line_raises_before_the_successor_lists_exist():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _HUGE_HEADER_PROBE], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    line, peak = map(int, proc.stdout.split())
+    assert line == 4
+    assert peak < 1_000_000
 
 
 # --- successor permutations ---------------------------------------------

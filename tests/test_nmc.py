@@ -1,8 +1,10 @@
 """Optimistic detector with shared, helper-joinable repair passes."""
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import cyclone.nmc
 from cyclone import (
     BuchiAutomaton,
     ColorStore,
@@ -108,3 +110,24 @@ def test_helper_join_counter_recorded():
         assert v.cycle_found == has_accepting_cycle(a), seed
         tot += v.stats.helper_joins
     assert tot > 0
+
+
+def test_a_repair_that_leaves_its_root_unsafe_fails_loudly(monkeypatch):
+    # a participation that returns without making its root SAFE, as one
+    # blocking on RED instead would, leaves the task open; the helper loop
+    # would then re-join it forever without yielding, so no deadline could
+    # stop it.  The stub gives up after 1,000 calls instead of hanging.
+    calls = []
+
+    def unsafe_search(aut, ws, repair=None, **_):
+        calls.append(repair)
+        if len(calls) > 1000:
+            raise RuntimeError("the helper loop re-joined the task 1,000 times")
+        if repair is not None:  # the main pass: one dangerous root, at init
+            yield from repair((aut.init,))
+        return None
+
+    monkeypatch.setattr(cyclone.nmc, "nested_search", unsafe_search)
+    with pytest.raises(AssertionError, match="left it unsafe"):
+        nmc_ndfs(gen_lasso(1, 2, False), 1, 0)
+    assert len(calls) == 3  # the main pass, its repair, the helper's first re-join

@@ -12,13 +12,14 @@ from cyclone import (
     Lasso,
     enumerate_accepting_cycle,
     gen_lasso,
+    gen_needle,
     has_accepting_cycle,
     sccs_from_init,
     validate_lasso,
     witness_lasso,
 )
 from cyclone.paths import reachable_from
-from strategies import automata
+from strategies import ReadCounted, automata
 
 
 @given(automata(max_states=8))
@@ -50,6 +51,24 @@ def test_witness_agrees_with_decision(a):
         assert validate_lasso(a, w)
     else:
         assert w is None
+
+
+def _read_counted(a: BuchiAutomaton) -> tuple[BuchiAutomaton, ReadCounted]:
+    edges = ReadCounted(a.edges)
+    return BuchiAutomaton(a.num_states, a.init, a.accepting, edges), edges
+
+
+def test_decision_stops_at_the_first_accepting_component():
+    # seed 3 puts the needle on chain 7 of 16, so Tarjan closes the
+    # accepting 2-cycle after reading the lists of init, chains 0-7 and
+    # the cycle, and never reads chains 8-15
+    a = gen_needle(16, 500, 3)
+    full, full_edges = _read_counted(a)
+    sccs_from_init(full)
+    assert full_edges.reads == a.num_states  # every state is reachable
+    early, early_edges = _read_counted(a)
+    assert has_accepting_cycle(early)
+    assert early_edges.reads == 1 + 8 * 500 + 2
 
 
 def test_single_accepting_self_loop():

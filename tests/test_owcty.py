@@ -19,7 +19,7 @@ from cyclone import (
     validate_lasso,
 )
 from cyclone.paths import bfs_path, reachable_from
-from strategies import automata
+from strategies import ReadCounted, automata
 
 
 def test_propagation_finds_accepting_cycle_directly():
@@ -73,21 +73,11 @@ def test_past_deadline_raises_before_the_first_fixpoint_round(monkeypatch):
     assert owcty(a).stats.extras["owcty_rounds"] == 2
 
 
-class _ReadCounted(list):
-    """A successor table that counts how often a walk reads a state's list."""
-
-    reads = 0
-
-    def __getitem__(self, s):
-        self.reads += 1
-        return super().__getitem__(s)
-
-
 def test_map_hit_walks_the_reachable_graph_once(monkeypatch):
     # the stem comes off the closure's breadth-first tree: no second walk
     # from init, which on this needle would read all 64,003 lists again
     a = gen_needle(64, 1000, 0)
-    edges = _ReadCounted(a.edges)
+    edges = ReadCounted(a.edges)
     counted = BuchiAutomaton(a.num_states, a.init, a.accepting, edges)
     paths = _count_calls(monkeypatch, cyclone.paths, "bfs_path")
     v = owcty(counted)

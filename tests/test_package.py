@@ -1,11 +1,15 @@
 """The package surface: no public name shadows a submodule, every export resolves,
-the README's library example runs, only the shared color store touches
-threads, and only the drivers build WorkerStats."""
+the names load lazily, the README's library example runs, only the shared
+color store touches threads, and only the drivers build WorkerStats."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -22,6 +26,39 @@ def test_every_submodule_is_reachable_as_a_package_attribute():
 def test_every_exported_name_resolves():
     for name in cyclone.__all__:
         assert hasattr(cyclone, name), name
+
+
+_LAZY_PROBE = """
+import json, sys
+import cyclone.cli
+loaded = sorted(sys.modules)
+import cyclone
+swarm = cyclone.swarm.__name__  # a submodule not imported yet
+unknown = None
+try:
+    cyclone.no_such_name
+except AttributeError as e:
+    unknown = str(e)
+names = {}
+exec("from cyclone import *", names)
+print(json.dumps({"loaded": loaded, "swarm": swarm, "unknown": unknown,
+                  "bound": sorted(set(cyclone.__all__) & names.keys()), "all": sorted(cyclone.__all__)}))
+"""
+
+
+def test_the_cli_loads_only_what_check_runs():
+    # `cyclone check --alg ndfs` must not compile the other detectors, nor
+    # statistics (and with it fractions and decimal)
+    src = Path(cyclone.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    out = json.loads(proc.stdout)
+    unused = {"statistics", "cyclone.owcty_map", "cyclone.swarm", "cyclone.shared_red", "cyclone.optimistic",
+              "cyclone.nmc"}
+    assert unused.isdisjoint(out["loaded"])
+    assert out["swarm"] == "cyclone.swarm"
+    assert out["unknown"] == "module 'cyclone' has no attribute 'no_such_name'"
+    assert out["bound"] == out["all"]
 
 
 def test_readme_library_example_runs(capsys):
