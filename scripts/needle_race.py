@@ -28,16 +28,31 @@ def searcher_cost(verdict) -> int:
     return w.blue_expansions + w.red_expansions
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def worker_counts(text: str) -> list[int]:
+    counts = [positive_int(x) for x in text.split(",") if x.strip()]
+    if not counts:
+        raise argparse.ArgumentTypeError(f"need at least one worker count, got {text!r}")
+    return counts
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--width", type=int, default=16)
-    ap.add_argument("--depth", type=int, default=2000)
+    ap.add_argument("--width", type=positive_int, default=16)
+    ap.add_argument("--depth", type=positive_int, default=2000)
     ap.add_argument("--graph-seed", type=int, default=0)
-    ap.add_argument("--samples", type=int, default=40,
+    ap.add_argument("--samples", type=positive_int, default=40,
                     help="single-worker runs used to fit the cost distribution")
-    ap.add_argument("--races", type=int, default=15,
+    ap.add_argument("--races", type=positive_int, default=15,
                     help="independent races per worker count")
-    ap.add_argument("--workers", default="1,2,4,8,16")
+    ap.add_argument("--workers", type=worker_counts, default="1,2,4,8,16",
+                    help="comma-separated worker counts")
     args = ap.parse_args()
 
     aut = gen_needle(args.width, args.depth, args.graph_seed)
@@ -57,7 +72,7 @@ def main() -> int:
           f"{'race median':>12} {'race speedup':>13}")
 
     base = dist.expected_min(1)
-    for n in (int(x) for x in args.workers.split(",") if x.strip()):
+    for n in args.workers:
         wins = []
         for r in range(args.races):
             # offset the race seeds past the sampling seeds

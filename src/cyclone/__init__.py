@@ -22,7 +22,7 @@ _EXPORTS = {
         "SweepRow", "VerdictCorrupt", "execute", "resolve_input", "run", "sweep", "write_csv",
         "write_sweep_csv",
     ),
-    "colors": ("ColorStore", "ReporterSlot", "UnderflowFault"),
+    "colors": ("ColorStore", "UnderflowFault"),
     "nmc": ("nmc_ndfs",),
     "optimistic": ("endfs",),
     "oracle": (

@@ -38,7 +38,6 @@ from .bench import (
 )
 from .colors import ColorStore
 from .oracle import has_accepting_cycle
-from .stats import EmpiricalDistribution, EmptyDistribution, ZeroTime
 
 
 class _UsageError(Exception):
@@ -186,6 +185,8 @@ def _read_samples(path: str, alg: str | None, inp: str | None) -> list[float]:
 
 
 def _cmd_dist(args) -> int:
+    from .stats import EmpiricalDistribution, ZeroTime  # only dist runs the racing model
+
     with _user_data():
         dist = EmpiricalDistribution.from_samples(_read_samples(args.file, args.alg, args.input))
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
@@ -193,11 +194,12 @@ def _cmd_dist(args) -> int:
         raise _UsageError(f"need at least one swarm size, got {args.ns!r}")
     if any(n < 1 for n in ns):
         raise _UsageError(f"swarm sizes must be >= 1, got {args.ns}")
-    rows = []
-    for n in ns:
-        rows.append((n, dist.expected_min(n), dist.min_stddev(n), dist.speedup(n)))
-        print(f"N={rows[-1][0]} expected={rows[-1][1]:.6f} "
-              f"stddev={rows[-1][2]:.6f} speedup={rows[-1][3]:.4f}")
+    try:
+        rows = [(n, dist.expected_min(n), dist.min_stddev(n), dist.speedup(n)) for n in ns]
+    except ZeroTime as e:  # every sample is zero
+        raise _FileError(e) from e
+    for n, em, sd, sp in rows:
+        print(f"N={n} expected={em:.6f} stddev={sd:.6f} speedup={sp:.4f}")
     if args.output:
         with _user_data(), open(args.output, "w") as fh:
             fh.write("n,expected_min,stddev,speedup\n")
@@ -221,7 +223,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (InvalidConfig, InputNotFound, MalformedHeader, DanglingStateId,
-            DuplicateEdge, ZeroCycle, EmptyDistribution, ZeroTime, _FileError) as e:
+            DuplicateEdge, ZeroCycle, _FileError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except VerdictCorrupt as e:

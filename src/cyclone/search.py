@@ -11,9 +11,7 @@ Each call is handed, once, the byte plane whose set states stop the
 blue search: a private array (ndfs, swarm, the repairs of endfs), or
 the ColorStore plane of RED (lndfs), of SAFE (the repairs of nmc) or of
 BLUE (endfs and the main passes of nmc).  Publishing a flag is a plain
-store of 1 into its plane; only a DANGEROUS mark goes through the
-store's locked set_flag, because its count must be exact.  A call also
-picks one of two red searches:
+store of 1 into its plane.  A call also picks one of two red searches:
 
 - allred (LNDFS): a state whose successors all came back blocked is
   blocked itself, and the red search publishes the blocking flag at
@@ -76,7 +74,7 @@ import sys
 from time import perf_counter
 
 from .automaton import BuchiAutomaton, permute, state_hash, worker_keys
-from .colors import CYAN, DANGEROUS, LOCAL_BLUE, PINK, RED, WHITE, ColorStore, ReporterSlot
+from .colors import CYAN, DANGEROUS, LOCAL_BLUE, PINK, RED, WHITE, ColorStore
 from .results import Lasso, Verdict, WorkerStats, WorkStats, check_deadline
 
 
@@ -329,9 +327,11 @@ def nested_search(
                         if not red[t]:
                             if amask[t]:
                                 # met an uncleared accepting state: poison it.
-                                # Alone, post order has cleared every one.
+                                # Alone, post order has cleared every one.  The
+                                # count is exact: one worker runs between yields.
                                 assert shared, "red search reached an unprocessed accepting state"
-                                if not dng[t] and not store.set_flag(t, DANGEROUS):
+                                if not dng[t]:
+                                    dng[t] = 1
                                     dangerous += 1
                             if not pink[t]:
                                 pink[t] = 1
@@ -385,13 +385,13 @@ def race(n_workers: int, body, deadline: float | None = None) -> Verdict:
     if n_workers < 1:
         raise ValueError(f"need at least one worker, got {n_workers}")
     racing = n_workers > 1 or deadline is not None
-    reporter = ReporterSlot()
+    winner = lasso = None
     stats = [WorkerStats() for _ in range(n_workers)]
     t0 = perf_counter()
     live = {}
     try:
         live = {w: body(w, stats[w], racing) for w in range(n_workers)}
-        while live and reporter.worker is None:
+        while live and winner is None:
             check_deadline(deadline)
             for w, search in list(live.items()):
                 try:
@@ -399,12 +399,12 @@ def race(n_workers: int, body, deadline: float | None = None) -> Verdict:
                 except StopIteration as done:
                     del live[w]
                     if isinstance(done.value, Lasso):
-                        reporter.claim(w, done.value)
+                        winner, lasso = w, done.value
                         break
     finally:
         for search in live.values():
             search.close()
-    return Verdict(reporter.lasso, WorkStats(stats, perf_counter() - t0), winner=reporter.worker)
+    return Verdict(lasso, WorkStats(stats, perf_counter() - t0), winner=winner)
 
 
 def ndfs(

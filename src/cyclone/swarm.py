@@ -1,8 +1,8 @@
 """Embarrassingly parallel nested search: isolated workers, permuted orders.
 
 Every worker runs the full sequential algorithm on its own private
-arrays; they share nothing but the first-winner slot and (optionally) the discovery bitset behind the fresh-successor
-bias.
+arrays; they share nothing but (optionally) the discovery bitset behind
+the fresh-successor bias.
 """
 
 from __future__ import annotations

@@ -208,6 +208,7 @@ def test_dist_writes_model_table_csv(tmp_path, capsys):
     ("2.0\n4.0\n", "1,x", "invalid literal"),
     ("2.0\n4.0\n", "0", "swarm sizes must be >= 1"),
     ("2.0\n4.0\n", ",", "need at least one swarm size"),
+    ("0\n0.0\n", "1,2", "error: expected minimum is zero"),
 ])
 def test_dist_rejects_bad_samples_and_sizes(tmp_path, capsys, text, ns, message):
     raw = tmp_path / "times.txt"

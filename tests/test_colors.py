@@ -1,104 +1,20 @@
-"""Shared color table: atomicity, counters, and the engine's zero-wait protocol."""
-
-import sys
-import threading
+"""Shared color table: flag planes, counters, the engine's zero-wait protocol and the race."""
 
 import pytest
 
-from cyclone import BuchiAutomaton, ColorStore, ReporterSlot, UnderflowFault, WorkerStats
+from cyclone import BuchiAutomaton, ColorStore, Lasso, UnderflowFault, WorkerStats
 from cyclone.colors import BLUE, DANGEROUS, FLAGS, RED, SAFE
-from cyclone.search import nested_search
-
-
-def _spawn(n, target):
-    threads = [threading.Thread(target=target, args=(i,)) for i in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-
-def test_set_flag_reports_previous_value_exactly_once():
-    store = ColorStore(4)
-    firsts = []
-
-    def body(i):
-        if not store.set_flag(2, RED):
-            firsts.append(i)
-
-    _spawn(8, body)
-    assert len(firsts) == 1
-    assert store.get_flag(2, RED)
-    assert not store.get_flag(2, BLUE)
+from cyclone.search import nested_search, race
 
 
 def test_flags_are_independent_bits():
     store = ColorStore(3)
-    store.set_flag(1, RED)
-    store.set_flag(1, DANGEROUS)
-    assert store.get_flag(1, RED)
-    assert store.get_flag(1, DANGEROUS)
-    assert not store.get_flag(1, BLUE)
-    assert not any(store.get_flag(s, bit) for s in (0, 2) for bit in FLAGS)
-
-
-def test_planes_keep_every_flag_under_concurrent_writers():
-    # one writer per flag stores into every state with a plain store, as the
-    # engine publishes; a store that read-modify-wrote a shared word would
-    # lose some of the others' flags under frequent thread switches
-    n = 20_000
-    store = ColorStore(n)
-    go = threading.Event()
-
-    def body(i):
-        plane = store.plane(FLAGS[i])
-        go.wait()
-        for s in range(n):
-            plane[s] = 1
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=body, args=(i,)) for i in range(len(FLAGS))]
-        for t in threads:
-            t.start()
-        go.set()
-        for t in threads:
-            t.join()
-    finally:
-        sys.setswitchinterval(old)
-    assert all(store.get_flag(s, bit) for s in range(n) for bit in FLAGS)
-
-
-def test_set_flag_reports_first_setter_once_per_state_and_flag():
-    store = ColorStore(50)
-    firsts = []
-    lock = threading.Lock()
-
-    def body(i):
-        mine = [(s, bit) for s in range(store.num_states) for bit in FLAGS if not store.set_flag(s, bit)]
-        with lock:
-            firsts.extend(mine)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _spawn(8, body)
-    finally:
-        sys.setswitchinterval(old)
-    assert sorted(firsts) == sorted((s, bit) for s in range(store.num_states) for bit in FLAGS)
-
-
-def test_counter_balances_across_threads():
-    store = ColorStore(2, accepting=[0])
-
-    def body(i):
-        for _ in range(500):
-            store.counter_adjust(0, 1)
-            store.counter_adjust(0, -1)
-
-    _spawn(8, body)
-    assert store.counter_value(0) == 0
+    store.plane(RED)[1] = 1
+    store.plane(DANGEROUS)[1] = 1
+    assert store.plane(RED)[1]
+    assert store.plane(DANGEROUS)[1]
+    assert not store.plane(BLUE)[1]
+    assert not any(store.plane(bit)[s] for s in (0, 2) for bit in FLAGS)
 
 
 def test_counter_underflow_faults():
@@ -124,13 +40,13 @@ def test_counter_wait_yields_until_the_counter_drains():
     for _ in range(3):
         assert next(search) is None
         assert store.counter_value(0) == 1
-        assert not store.get_flag(0, RED)
-    assert all(store.get_flag(s, RED) for s in (1, 2))  # the red search is done
+        assert not store.plane(RED)[0]
+    assert all(store.plane(RED)[s] for s in (1, 2))  # the red search is done
     store.counter_adjust(0, -1)
     with pytest.raises(StopIteration) as done:
         next(search)
     assert done.value.value is None
-    assert store.get_flag(0, RED)
+    assert store.plane(RED)[0]
     assert ws.waits == 1 and (ws.blue_expansions, ws.red_expansions) == (3, 3)
 
 
@@ -139,32 +55,38 @@ def test_counter_wait_stops_on_termination():
     store, ws, search = _waiting_search()
     assert next(search) is None
     search.close()
-    assert not store.get_flag(0, RED)
+    assert not store.plane(RED)[0]
     assert ws.waits == 1 and (ws.blue_expansions, ws.red_expansions) == (3, 3)
-
-
-def test_reporter_slot_first_claim_wins():
-    slot = ReporterSlot()
-    claims = []
-
-    def body(i):
-        claims.append((i, slot.claim(i, f"lasso-{i}")))
-
-    _spawn(8, body)
-    winners = [i for i, won in claims if won]
-    assert len(winners) == 1
-    assert slot.worker == winners[0]
-    assert slot.lasso == f"lasso-{winners[0]}"
 
 
 def test_dump_csv_shape():
     store = ColorStore(3, accepting=[1])
-    store.set_flag(0, RED)
-    store.set_flag(2, BLUE)
-    store.set_flag(2, SAFE)
+    store.plane(RED)[0] = 1
+    store.plane(BLUE)[2] = 1
+    store.plane(SAFE)[2] = 1
     store.counter_adjust(1, 1)
     lines = store.dump_csv().splitlines()
     assert lines[0] == "state,red,blue,dangerous,safe,count"
     assert lines[1] == "0,1,0,0,0,0"
     assert lines[2] == "1,0,0,0,0,1"
     assert lines[3] == "2,0,1,0,1,0"
+
+
+def test_race_lower_worker_wins_and_closes_the_rest():
+    # both workers close a lasso in the same round; worker 0 takes its turn
+    # first, so it wins, and worker 1's search is closed where it yielded,
+    # booking its counters as the engine does, before the verdict is built
+    def body(w, ws, racing):
+        assert racing
+        steps = 0
+        try:
+            steps += 1
+            yield
+            steps += 1
+            return Lasso((w,), (w,), 0)
+        finally:
+            ws.blue_expansions += steps
+
+    v = race(2, body)
+    assert (v.winner, v.lasso) == (0, Lasso((0,), (0,), 0))
+    assert [w.blue_expansions for w in v.stats.workers] == [2, 1]

@@ -68,7 +68,7 @@ def test_store_ends_fully_settled_when_no_cycle():
     # every reachable state got a blue mark
     from cyclone.colors import BLUE
 
-    assert all(store.get_flag(s, BLUE) for s in range(a.num_states))
+    assert all(store.plane(BLUE))
 
 
 def test_extras_always_present():
@@ -90,7 +90,7 @@ def test_a_repair_closed_by_the_verdict_still_counts():
     a = BuchiAutomaton(n, 0, frozenset({1, n - 1}), edges)
     for detector in (endfs, nmc_ndfs):
         store = ColorStore(n, a.accepting)
-        store.set_flag(1, DANGEROUS)
+        store.plane(DANGEROUS)[1] = 1
         v = detector(a, 2, 0, store=store)
         assert v.winner == 1 and validate_lasso(a, v.lasso)
         w0 = v.stats.workers[0]

@@ -41,7 +41,7 @@ def test_every_state_red_after_full_exploration():
                 store = ColorStore(a.num_states, a.accepting)
                 v = lndfs(a, n, 13, store=store)
                 assert not v.cycle_found
-                assert all(store.get_flag(s, RED) for s in range(a.num_states))
+                assert all(store.plane(RED))
 
 
 def test_counters_drain_to_zero():

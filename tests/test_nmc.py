@@ -53,8 +53,8 @@ def test_repair_does_not_trust_optimistic_red():
     # without looking and misses the cycle 1 2 3.
     a = BuchiAutomaton(4, 0, frozenset({2}), [[1], [2], [3], [1]])
     store = ColorStore(a.num_states, a.accepting)
-    store.set_flag(3, RED)
-    store.set_flag(2, DANGEROUS)
+    store.plane(RED)[3] = 1
+    store.plane(DANGEROUS)[2] = 1
     v = nmc_ndfs(a, 1, 0, store=store)
     assert v.cycle_found
     assert validate_lasso(a, v.lasso)

@@ -1,6 +1,6 @@
 """The package surface: no public name shadows a submodule, every export resolves,
-the names load lazily, the README's library example runs, only the shared
-color store touches threads, and only the drivers build WorkerStats."""
+the names load lazily, the README's library example runs, no module touches
+threads, and only the drivers build WorkerStats."""
 
 import ast
 import importlib
@@ -48,13 +48,13 @@ print(json.dumps({"loaded": loaded, "swarm": swarm, "unknown": unknown,
 
 def test_the_cli_loads_only_what_check_runs():
     # `cyclone check --alg ndfs` must not compile the other detectors, nor
-    # statistics (and with it fractions and decimal)
+    # cyclone.stats and statistics (and with it fractions and decimal)
     src = Path(cyclone.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=60, check=True)
     out = json.loads(proc.stdout)
-    unused = {"statistics", "cyclone.owcty_map", "cyclone.swarm", "cyclone.shared_red", "cyclone.optimistic",
-              "cyclone.nmc"}
+    unused = {"statistics", "cyclone.stats", "cyclone.owcty_map", "cyclone.swarm", "cyclone.shared_red",
+              "cyclone.optimistic", "cyclone.nmc"}
     assert unused.isdisjoint(out["loaded"])
     assert out["swarm"] == "cyclone.swarm"
     assert out["unknown"] == "module 'cyclone' has no attribute 'no_such_name'"
@@ -68,9 +68,9 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out
 
 
-def test_only_colors_imports_threading():
-    # workers take turns in one thread and a run stops by closing them;
-    # colors.py keeps its locks for its thread-safe public contract
+def test_no_module_imports_threading():
+    # workers take turns in one thread and a run stops by closing them, so
+    # the shared color store is plain data and nothing takes a lock
     importers = []
     for path in sorted(Path(cyclone.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -82,7 +82,7 @@ def test_only_colors_imports_threading():
                 continue
             if any(n.split(".")[0] in ("threading", "_thread") for n in names):
                 importers.append(path.name)
-    assert importers == ["colors.py"]
+    assert importers == []
 
 
 def test_only_the_drivers_build_worker_stats():

@@ -15,8 +15,8 @@ at 1-4 workers and seeds 0-2, to sha256 digests taken at commit 22476c1,
 before the repairs became plain rooted engine calls and the blue and red
 order functions became one; both changes keep every digest.
 
-The turns interleave whole steps only.  Preemption inside a step, which
-threads sharing a ColorStore could bring, is not explored here.
+The turns interleave whole steps only: between two yields one worker
+has the ColorStore to itself, which is the store's one-thread contract.
 """
 
 import dataclasses
@@ -36,6 +36,7 @@ from cyclone import (
     swarm_ndfs,
     validate_lasso,
 )
+from cyclone.colors import DANGEROUS
 from strategies import layered
 
 DETECTORS = {
@@ -85,6 +86,9 @@ def test_sweep_is_sound_bounded_repeatable_and_shares_work():
                     assert sum(own) <= 2 * n * a.num_states, case
                 else:
                     assert max(own) <= 4 * a.num_states, case
+                if alg in ("endfs", "nmc"):
+                    # every dangerous mark is counted once, by the worker that made it
+                    assert sum(store.plane(DANGEROUS)) == v.stats.extras["dangerous_count"], case
                 assert _replay(_run(alg, a, n, seed)[0]) == _replay(v), case
                 reached[alg][0] += v.stats.waits
                 reached[alg][1] += sum(w.dangerous_marks for w in v.stats.workers)

@@ -33,3 +33,12 @@ def test_needle_race_prints_model_table(tmp_path):
                                          "race", "speedup"]
         assert [line.split()[0] for line in lines[header + 1:]] == ["1", "2"]
 
+
+
+def test_needle_race_rejects_bad_counts_with_a_usage_error():
+    for args in (["--width", "0"], ["--depth", "0"], ["--samples", "0"], ["--races", "0"], ["--workers", "0"],
+                 ["--workers", "1,x"], ["--workers", ","]):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "needle_race.py"), *args],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stdout == "" and "usage:" in proc.stderr and "Traceback" not in proc.stderr, args
