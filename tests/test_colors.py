@@ -90,3 +90,43 @@ def test_race_lower_worker_wins_and_closes_the_rest():
     v = race(2, body)
     assert (v.winner, v.lasso) == (0, Lasso((0,), (0,), 0))
     assert [w.blue_expansions for w in v.stats.workers] == [2, 1]
+
+
+def test_counters_exist_only_for_accepting_states():
+    store = ColorStore(3, accepting=[0, 2])
+    assert [store.counter_value(s) for s in range(3)] == [0, 0, 0]
+    assert store.counter_adjust(2, 2) == 2
+    assert store.counter_adjust(2, -1) == 1
+    with pytest.raises(AssertionError, match="only for accepting states"):
+        store.counter_adjust(1, 1)
+    assert [store.counter_value(s) for s in range(3)] == [0, 0, 1]
+
+
+def test_race_no_cycle_verdict_waits_for_every_worker():
+    # no worker finds a lasso, so the verdict waits for the longest search
+    # and every worker books all of its steps
+    def body(w, ws, racing):
+        assert racing
+        for _ in range(w + 1):
+            ws.blue_expansions += 1
+            yield
+        return None
+
+    v = race(3, body)
+    assert (v.winner, v.lasso) == (None, None)
+    assert [w.blue_expansions for w in v.stats.workers] == [1, 2, 3]
+
+
+def test_race_lone_worker_yields_only_for_a_deadline():
+    seen = []
+
+    def body(w, ws, racing):
+        seen.append(racing)
+        return Lasso((0,), (0,), 0)
+        yield
+
+    assert race(1, body).winner == 0
+    assert race(1, body, deadline=float("inf")).winner == 0
+    assert seen == [False, True]
+    with pytest.raises(ValueError, match="at least one worker"):
+        race(0, body)
