@@ -61,8 +61,9 @@ class BuchiAutomaton:
     init: int
     accepting: frozenset[int]
     edges: list[list[int]]
-    # Derived byte mask for fast accepting-membership checks in inner loops.
-    accept_mask: bytearray = field(default_factory=bytearray, compare=False, repr=False)
+    # Derived byte mask for fast accepting-membership checks in inner loops;
+    # __post_init__ builds it, so it is not a constructor parameter.
+    accept_mask: bytearray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.num_states

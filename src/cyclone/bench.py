@@ -7,15 +7,18 @@ reads between its workers' turns (owcty: between its walks) in the
 calling thread, raising WatchdogTimeout once it has passed.  The budget
 comes from CYCLONE_WATCHDOG_SECS (default 60 seconds) and must be a
 finite number of seconds.
+
+ALGORITHM_TABLE names each detector by its public name and says by
+flags which options it takes; execute looks the name up in the package,
+whose lazy exports import only the module of the detector it runs.
 """
 
 from __future__ import annotations
 
 import csv
-import importlib
 import math
 import os
-from collections.abc import Callable
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from time import perf_counter
@@ -24,23 +27,24 @@ from .automaton import BuchiAutomaton, gen_lasso, gen_needle, gen_random, parse_
 from .colors import ColorStore
 from .oracle import has_accepting_cycle, validate_lasso
 from .results import Verdict, WatchdogTimeout
-from .search import ndfs
 
 
 @dataclass(frozen=True, slots=True)
 class Algorithm:
     """One detector as the harness runs it, and the options it takes.
 
-    run(aut, workers=, seed=, heuristic=, allred=, store=, deadline=) runs
-    it once; store is a ColorStore for shared algorithms to use (None for
-    a fresh one), deadline the perf_counter() value past which the run
-    raises WatchdogTimeout (None for none).  parallel algorithms
-    race several workers, shared ones keep a ColorStore whose colors can
-    be dumped, and a lenient one ignores a worker count or heuristic it
-    cannot use instead of rejecting them.
+    function is the detector's public name in cyclone; execute calls it
+    with the automaton and, by keyword, deadline (the perf_counter()
+    value past which the run raises WatchdogTimeout, None for none) and
+    the options the flags select.  Every row but a lenient one passes
+    seed; parallel passes n_workers, heuristic and allred pass the flags
+    of the same name, and shared passes store (a ColorStore whose colors
+    can be dumped, None for a fresh one).  A lenient row takes no worker
+    count, seed or heuristic, and ignores any it is given instead of
+    rejecting them.
     """
 
-    run: Callable[..., Verdict]
+    function: str
     parallel: bool = False
     heuristic: bool = False
     allred: bool = False
@@ -48,55 +52,13 @@ class Algorithm:
     lenient: bool = False
 
 
-def _imported(module: str, name: str) -> Callable[..., Verdict]:
-    """The detector name of cyclone.<module>, which its first call imports.
-
-    So a run imports only the detector it runs; each later call goes
-    straight to the function.
-    """
-    fn = None
-
-    def call(*args):
-        nonlocal fn
-        if fn is None:
-            fn = getattr(importlib.import_module(f".{module}", __package__), name)
-        return fn(*args)
-
-    return call
-
-
-swarm_ndfs = _imported("swarm", "swarm_ndfs")
-lndfs = _imported("shared_red", "lndfs")
-endfs = _imported("optimistic", "endfs")
-nmc_ndfs = _imported("nmc", "nmc_ndfs")
-owcty = _imported("owcty_map", "owcty")
-
-# the lambdas look detectors up by module global at call time, so a test
-# can patch one
 ALGORITHM_TABLE: dict[str, Algorithm] = {
-    "ndfs": Algorithm(
-        lambda aut, seed, allred, deadline, **_: ndfs(aut, seed, allred, deadline),
-        allred=True,
-    ),
-    "swarm": Algorithm(
-        lambda aut, workers, seed, heuristic, deadline, **_: swarm_ndfs(aut, workers, seed, heuristic, deadline),
-        parallel=True, heuristic=True,
-    ),
-    "lndfs": Algorithm(
-        lambda aut, workers, seed, heuristic, store, deadline, **_: lndfs(
-            aut, workers, seed, heuristic, store, deadline
-        ),
-        parallel=True, heuristic=True, shared=True,
-    ),
-    "endfs": Algorithm(
-        lambda aut, workers, seed, store, deadline, **_: endfs(aut, workers, seed, store, deadline),
-        parallel=True, shared=True,
-    ),
-    "nmc": Algorithm(
-        lambda aut, workers, seed, store, deadline, **_: nmc_ndfs(aut, workers, seed, store, deadline),
-        parallel=True, shared=True,
-    ),
-    "owcty": Algorithm(lambda aut, deadline, **_: owcty(aut, deadline), lenient=True),
+    "ndfs": Algorithm("ndfs", allred=True),
+    "swarm": Algorithm("swarm_ndfs", parallel=True, heuristic=True),
+    "lndfs": Algorithm("lndfs", parallel=True, heuristic=True, shared=True),
+    "endfs": Algorithm("endfs", parallel=True, shared=True),
+    "nmc": Algorithm("nmc_ndfs", parallel=True, shared=True),
+    "owcty": Algorithm("owcty", lenient=True),
 }
 
 
@@ -254,10 +216,19 @@ def execute(
         raise InvalidConfig(f"bad timeout {timeout}: not a finite number of seconds")
     alg = _checked(algorithm, workers, seed, heuristic, allred)
     deadline = perf_counter() + timeout if timeout > 0 else None
+    options = {"deadline": deadline}
+    if not alg.lenient:
+        options["seed"] = seed
+    if alg.parallel:
+        options["n_workers"] = workers
+    if alg.heuristic:
+        options["heuristic"] = heuristic
+    if alg.allred:
+        options["allred"] = allred
+    if alg.shared:
+        options["store"] = store
     try:
-        v = alg.run(
-            aut, workers=workers, seed=seed, heuristic=heuristic, allred=allred, store=store, deadline=deadline
-        )
+        v = getattr(sys.modules[__package__], alg.function)(aut, **options)
     except WatchdogTimeout:
         raise WatchdogTimeout(f"{algorithm} exceeded {timeout:.1f}s budget") from None
     if v.lasso is not None and not validate_lasso(aut, v.lasso):

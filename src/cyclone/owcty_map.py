@@ -15,10 +15,11 @@ closed under successors: a round's closure is closed by construction,
 and a successor of a survivor keeps that survivor as a predecessor, so
 it is never stripped.  No walk of the fixpoint therefore needs a
 restriction to the candidates.  Each round's closure is one
-paths.bfs_order walk, whose visited bytearray tells which candidates it
-missed.  In-degrees live in a list: they are counted once, over the
-first round's closure, and decremented as predecessors leave, whether a
-later closure missed them or they were stripped.
+paths.bfs_tree walk from the accepting candidates, whose fresh parent
+list tells which candidates it missed.  In-degrees live in a list: they
+are counted once, over the first round's closure, and decremented as
+predecessors leave, whether a later closure missed them or they were
+stripped.
 
 The initial closure is one paths.bfs_tree walk from init, which also
 records each reachable state's breadth-first parent.  Every lasso's stem
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .automaton import BuchiAutomaton
-from .paths import bfs_order, bfs_tree, cycle_through, tree_path
+from .paths import bfs_tree, cycle_through, tree_path
 from .results import Lasso, Verdict, WorkerStats, WorkStats, check_deadline
 
 
@@ -77,7 +78,7 @@ def map_pass(aut: BuchiAutomaton, deadline: float | None = None) -> MapResult:
     """
     amask = aut.accept_mask
     edges = aut.edges
-    order, parent = bfs_tree(aut, aut.init)
+    order, parent = bfs_tree(aut, (aut.init,))
     reach = set(order)
     table = [0] * aut.num_states
     # the pops, the table and the first cycle seen all follow the order of
@@ -131,8 +132,7 @@ def owcty(aut: BuchiAutomaton, deadline: float | None = None) -> Verdict:
     while candidates:
         check_deadline(deadline)
         rounds += 1
-        seen = bytearray(aut.num_states)
-        kept = bfs_order(aut, [s for s in candidates if amask[s]], seen)
+        kept, parent = bfs_tree(aut, [s for s in candidates if amask[s]])
         pops += len(kept)
         if indeg is None:
             # counted once, over the first closure; the states it missed
@@ -143,7 +143,7 @@ def owcty(aut: BuchiAutomaton, deadline: float | None = None) -> Verdict:
                     indeg[t] += 1
         elif len(kept) < len(candidates):
             for s in candidates:
-                if not seen[s]:
+                if parent[s] is None:
                     for t in edges[s]:
                         indeg[t] -= 1
         check_deadline(deadline)

@@ -2,21 +2,22 @@
 
 Every walk uses the list of states it has entered as its queue (iterated
 while it is appended to), takes each state's edges in canonical order,
-and marks a state when it first enters it.  bfs_order and bfs_path keep
-their marks in a bytearray mask with one byte per state; a walk
-restricted to a subset of states starts from a mask in which every state
-outside the subset is already marked, so an edge costs one byte test
-either way.  bfs_path also keeps, beside its queue, the queue index of
-each state's parent, and stops at its target.
+and marks a state when it first enters it.
 
-bfs_tree walks everything reachable from one root and keeps each
+bfs_tree walks everything reachable from a list of roots and keeps each
 entered state's parent in a list indexed by state, which is also its
-mark: None means not entered.  Under CPython 3.11 a list slot is read
-and written faster than a bytearray byte, so the walk that records the
-tree runs faster than bfs_order's plain closure.  tree_path reads the
-path from the root to any reached state off that list.  It is the path
-bfs_path returns from the same root, because both walks enter every
-state from the same parent.
+mark: None means not entered, and a root is its own parent.  Under
+CPython 3.11 a list slot is read and written faster than a bytearray
+byte, so recording the tree costs no more than a plain closure would.
+tree_path reads the path from a state's root to it off that list.  From
+a single root it is the path bfs_path returns, because both walks enter
+every state from the same parent.
+
+bfs_path keeps its marks in a bytearray mask with one byte per state; a
+walk that must avoid some states starts from a copy of a mask in which
+they are already marked, so an edge costs one byte test either way.
+Beside its queue it keeps the queue index of each state's parent, and
+stops at its target.
 """
 
 from __future__ import annotations
@@ -24,45 +25,26 @@ from __future__ import annotations
 from .automaton import BuchiAutomaton
 
 
-def bfs_order(aut: BuchiAutomaton, roots, seen: bytearray | None = None) -> list[int]:
-    """The states reachable from roots, in breadth-first order.
-
-    Every state entered, roots included, is marked in seen (default: a
-    fresh clear mask), and no marked state is entered; a caller that
-    passes its own mask reads from it afterwards which states the walk
-    reached.
-    """
-    if seen is None:
-        seen = bytearray(aut.num_states)
-    edges = aut.edges
-    order = []
-    for r in roots:
-        if not seen[r]:
-            seen[r] = 1
-            order.append(r)
-    for s in order:
-        for t in edges[s]:
-            if not seen[t]:
-                seen[t] = 1
-                order.append(t)
-    return order
-
-
 def reachable_from(aut: BuchiAutomaton, roots) -> set[int]:
     """Forward closure of roots."""
-    return set(bfs_order(aut, roots))
+    return set(bfs_tree(aut, roots)[0])
 
 
-def bfs_tree(aut: BuchiAutomaton, root: int) -> tuple[list[int], list[int | None]]:
-    """The states reachable from root in breadth-first order, and their parents.
+def bfs_tree(aut: BuchiAutomaton, roots) -> tuple[list[int], list[int | None]]:
+    """The states reachable from roots in breadth-first order, and their parents.
 
-    parent[s] is the state whose edge first entered s, root for root
-    itself, and None for every state the walk did not reach.
+    The order lists each reached state once, the roots first (a repeated
+    root is skipped).  parent[s] is the state whose edge first entered
+    s, s itself for a root, and None for every state the walk did not
+    reach.
     """
     edges = aut.edges
     parent: list[int | None] = [None] * aut.num_states
-    parent[root] = root
-    order = [root]
+    order = []
+    for r in roots:
+        if parent[r] is None:
+            parent[r] = r
+            order.append(r)
     for s in order:
         for t in edges[s]:
             if parent[t] is None:
@@ -72,7 +54,7 @@ def bfs_tree(aut: BuchiAutomaton, root: int) -> tuple[list[int], list[int | None
 
 
 def tree_path(parent: list[int | None], target: int) -> list[int] | None:
-    """The tree path from bfs_tree's root to target, or None if unreached."""
+    """The tree path from target's bfs_tree root to target, or None if unreached."""
     if parent[target] is None:
         return None
     path = [target]

@@ -66,10 +66,16 @@ class EmpiricalDistribution:
         """Standard deviation of the fastest of n independent runs."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
+        top = self.samples[-1]
+        if top == 0.0:
+            return 0.0
+        # scaled to the largest sample: squaring a deviation past about
+        # 1e154 overflows, and one of about 1e-162 underflows to zero
+        xs = [t / top for t in self.samples]
         w = self._min_weights(n)
-        mean = sum(t * p for t, p in zip(self.samples, w))
-        var = sum((t - mean) ** 2 * p for t, p in zip(self.samples, w))
-        return math.sqrt(max(var, 0.0))
+        mean = sum(x * p for x, p in zip(xs, w))
+        var = sum((x - mean) ** 2 * p for x, p in zip(xs, w))
+        return math.sqrt(max(var, 0.0)) * top
 
     def speedup(self, n: int) -> float:
         """Expected single-run time over expected winner time for n runs.

@@ -130,6 +130,15 @@ def test_duplicate_successors_rejected_on_construction():
         BuchiAutomaton(2, 0, frozenset(), [[1, 1], []])
 
 
+def test_the_accept_mask_is_derived_not_passed():
+    # a mask given to the constructor would be overwritten, so none is taken
+    with pytest.raises(TypeError):
+        BuchiAutomaton(2, 0, frozenset({1}), [[1], []], bytearray(b"\x01\x00"))
+    with pytest.raises(TypeError):
+        BuchiAutomaton(2, 0, frozenset({1}), [[1], []], accept_mask=bytearray(b"\x01\x00"))
+    assert BuchiAutomaton(2, 0, frozenset({1}), [[1], []]).accept_mask == bytearray(b"\x00\x01")
+
+
 @given(automata())
 def test_text_round_trip(a):
     assert parse_automaton(a.to_text()) == a

@@ -1,10 +1,12 @@
 """Harness plumbing: input specs, records, watchdog, sweep aggregates."""
 
+import inspect
 import threading
 import time
 
 import pytest
 
+import cyclone
 import cyclone.bench as bench
 from cyclone import (
     CSV_HEADER,
@@ -149,6 +151,30 @@ def test_execute_every_algorithm_once():
         assert isinstance(v, Verdict)
 
 
+def _flagged_options(spec: bench.Algorithm) -> set[str]:
+    flagged = {"seed": not spec.lenient, "n_workers": spec.parallel, "heuristic": spec.heuristic,
+               "allred": spec.allred, "store": spec.shared}
+    return {"deadline"} | {name for name, on in flagged.items() if on}
+
+
+@pytest.mark.parametrize("alg", sorted(bench.ALGORITHM_TABLE))
+def test_a_rows_flags_are_its_detectors_parameters(alg, monkeypatch):
+    spec = bench.ALGORITHM_TABLE[alg]
+    detector = getattr(cyclone, spec.function)
+    params = list(inspect.signature(detector).parameters)
+    assert params[0] == "aut"
+    assert set(params[1:]) == _flagged_options(spec)
+    passed = []
+
+    def recorder(aut, **options):
+        passed.append(set(options))
+        return detector(aut, **options)
+
+    monkeypatch.setattr(cyclone, spec.function, recorder)
+    execute(resolve_input("lasso:2:3:acc"), alg, timeout=0)
+    assert passed == [set(params[1:])]
+
+
 @pytest.fixture(scope="module")
 def big():
     # no accepting state, so every detector searches all of it: a one-worker
@@ -266,7 +292,7 @@ def test_invalid_lasso_is_reported_not_recorded(monkeypatch):
         bogus = Lasso((0,), (0,), 0)
         return Verdict(bogus, WorkStats([WorkerStats()], 0.0), winner=0)
 
-    monkeypatch.setattr(bench, "ndfs", liar)
+    monkeypatch.setattr(cyclone, "ndfs", liar)
     with pytest.raises(VerdictCorrupt, match="invalid lasso on lasso:2:3:acc"):
         run(RunConfig("ndfs", "lasso:2:3:acc"), timeout=0)
 
@@ -275,7 +301,7 @@ def test_sweep_oracle_check_catches_wrong_verdicts(monkeypatch):
     def denier(aut, seed=None, allred=False, deadline=None):
         return Verdict(None, WorkStats([WorkerStats()], 0.0))
 
-    monkeypatch.setattr(bench, "ndfs", denier)
+    monkeypatch.setattr(cyclone, "ndfs", denier)
     with pytest.raises(VerdictCorrupt):
         sweep([RunConfig("ndfs", "lasso:2:3:acc", repeats=1)], oracle_check=True, timeout=0)
 

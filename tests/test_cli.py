@@ -1,8 +1,10 @@
 """Exit codes and output of the command line front end."""
 
+import re
+
 import pytest
 
-import cyclone.bench as bench
+import cyclone
 import cyclone.cli as cli
 from cyclone import Lasso, Verdict, WatchdogTimeout, WorkerStats, WorkStats
 
@@ -79,7 +81,7 @@ def test_invalid_lasso_exits_two_before_printing(monkeypatch, capsys):
     def liar(aut, *args, **kwargs):
         return Verdict(Lasso((0,), (0,), 0), WorkStats([WorkerStats()], 0.0), winner=0)
 
-    monkeypatch.setattr(bench, "ndfs", liar)
+    monkeypatch.setattr(cyclone, "ndfs", liar)
     assert cli.main(["check", "lasso:2:3:noacc"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "invalid lasso" in err
@@ -199,6 +201,15 @@ def test_dist_writes_model_table_csv(tmp_path, capsys):
     assert lines[2].startswith("2,2.500000000,")
     # speedup column for n=2 is em(1)/em(2) = 3/2.5
     assert lines[2].endswith("1.200000")
+
+
+def test_dist_of_large_finite_samples_prints_a_finite_stddev(tmp_path, capsys):
+    raw = tmp_path / "times.txt"
+    raw.write_text("1e200\n0\n")
+    assert cli.main(["dist", str(raw), "--n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert float(re.search(r" stddev=(\S+) ", out)[1]) == pytest.approx(5e199)
+    assert out.endswith(" speedup=1.0000\n")
 
 
 @pytest.mark.parametrize("text, ns, message", [

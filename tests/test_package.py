@@ -1,6 +1,7 @@
 """The package surface: no public name shadows a submodule, every export resolves,
 the names load lazily, the README's library example runs, no module touches
-threads, and only the drivers build WorkerStats."""
+threads, only the package loads modules by name, and only the drivers build
+WorkerStats."""
 
 import ast
 import importlib
@@ -68,9 +69,8 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out
 
 
-def test_no_module_imports_threading():
-    # workers take turns in one thread and a run stops by closing them, so
-    # the shared color store is plain data and nothing takes a lock
+def _importers(*modules: str) -> list[str]:
+    """The package's files that import any of modules or their submodules."""
     importers = []
     for path in sorted(Path(cyclone.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -80,9 +80,21 @@ def test_no_module_imports_threading():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n.split(".")[0] in ("threading", "_thread") for n in names):
+            if any(n.split(".")[0] in modules for n in names):
                 importers.append(path.name)
-    assert importers == []
+    return importers
+
+
+def test_no_module_imports_threading():
+    # workers take turns in one thread and a run stops by closing them, so
+    # the shared color store is plain data and nothing takes a lock
+    assert _importers("threading", "_thread") == []
+
+
+def test_only_the_package_imports_importlib():
+    # one lazy loader: every other module reaches a detector through the
+    # package's exports instead of importing it by name itself
+    assert _importers("importlib") == ["__init__.py"]
 
 
 def test_only_the_drivers_build_worker_stats():

@@ -70,6 +70,16 @@ def test_min_stddev_matches_enumeration():
         assert d.min_stddev(n) == pytest.approx(math.sqrt(var), rel=1e-12)
 
 
+def test_min_stddev_of_large_and_zero_samples_is_finite():
+    # the minimum of n draws from {0, 1e200} is 1e200 with probability
+    # 2**-n, so its stddev is 1e200 * sqrt(2**-n * (1 - 2**-n))
+    d = EmpiricalDistribution.from_samples([1e200, 0.0])
+    for n in (1, 2, 5):
+        p = 2.0 ** -n
+        assert d.min_stddev(n) == pytest.approx(1e200 * math.sqrt(p * (1 - p)), rel=1e-12)
+    assert EmpiricalDistribution.from_samples([0.0, 0.0]).min_stddev(3) == 0.0
+
+
 def test_monte_carlo_agrees_within_three_standard_errors():
     rng = np.random.default_rng(2024)
     samples = rng.exponential(1.0, 500)
