@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
 
 _M64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -49,42 +48,71 @@ class ZeroCycle(ValueError):
     """Lasso shapes need a cycle of at least one state."""
 
 
-@dataclass(eq=True, slots=True)
 class BuchiAutomaton:
     """Finite automaton with accepting states and ordered successor lists.
 
     edges[s] lists the successors of s in canonical order; treat it as
-    read-only.
+    read-only.  accept_mask is a byte per state, 1 for an accepting one,
+    for fast membership tests in inner loops.
+
+    The constructor checks every id, every successor list for duplicates,
+    and that edges has one list per state, raising ValueError otherwise.
+    parse_automaton builds its result through _trusted instead, which
+    skips these checks: the parser has made each of them, with the line
+    it failed at, before it allocates the lists.  Two automata are equal
+    when their num_states, init, accepting and edges are; an automaton is
+    mutable and unhashable.
     """
 
-    num_states: int
-    init: int
-    accepting: frozenset[int]
-    edges: list[list[int]]
-    # Derived byte mask for fast accepting-membership checks in inner loops;
-    # __post_init__ builds it, so it is not a constructor parameter.
-    accept_mask: bytearray = field(init=False, compare=False, repr=False)
+    __slots__ = ("num_states", "init", "accepting", "edges", "accept_mask")
 
-    def __post_init__(self):
-        n = self.num_states
+    def __init__(self, num_states: int, init: int, accepting: frozenset[int], edges: list[list[int]]):
+        n = num_states
         if n < 1:
             raise ValueError("automaton needs at least one state")
-        if not (0 <= self.init < n):
-            raise ValueError(f"init {self.init} out of range")
-        if len(self.edges) != n:
+        if not (0 <= init < n):
+            raise ValueError(f"init {init} out of range")
+        if len(edges) != n:
             raise ValueError("edges must list successors for every state")
         mask = bytearray(n)
-        for a in self.accepting:
+        for a in accepting:
             if not (0 <= a < n):
                 raise ValueError(f"accepting state {a} out of range")
             mask[a] = 1
-        for s, succs in enumerate(self.edges):
+        for s, succs in enumerate(edges):
             if len(set(succs)) != len(succs):
                 raise ValueError(f"duplicate successor in state {s}")
             for t in succs:
                 if not (0 <= t < n):
                     raise ValueError(f"edge {s}->{t} out of range")
+        self.num_states = num_states
+        self.init = init
+        self.accepting = accepting
+        self.edges = edges
         self.accept_mask = mask
+
+    @classmethod
+    def _trusted(cls, num_states: int, init: int, accepting: frozenset[int], edges: list[list[int]]):
+        """An automaton of arguments already checked as the constructor checks them."""
+        aut = cls.__new__(cls)
+        aut.num_states = num_states
+        aut.init = init
+        aut.accepting = accepting
+        aut.edges = edges
+        aut.accept_mask = mask = bytearray(num_states)
+        for a in accepting:
+            mask[a] = 1
+        return aut
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_states, self.init, self.accepting, self.edges) == (
+            other.num_states, other.init, other.accepting, other.edges)
+
+    def __repr__(self) -> str:
+        return (f"BuchiAutomaton(num_states={self.num_states!r}, init={self.init!r}, "
+                f"accepting={self.accepting!r}, edges={self.edges!r})")
 
     @property
     def num_edges(self) -> int:
@@ -118,7 +146,9 @@ def parse_automaton(text: str) -> BuchiAutomaton:
     header lines with one str.split() and checks the whole shape at once.
     Any text it does not accept, valid or not, is parsed again by the
     line path, the only one that reports an error and its line.  Neither
-    path allocates the successor lists before every line is checked.
+    path allocates the successor lists before every line is checked, and
+    both build the result with BuchiAutomaton._trusted, which does not
+    check the ids, ranges and duplicates again.
     """
     if text.isascii() and "#" not in text and not any(c in text for c in _ODD_ASCII_SPACE):
         aut = _parse_bulk(text)
@@ -170,7 +200,7 @@ def _parse_bulk(text: str) -> BuchiAutomaton | None:
     edges: list[list[int]] = [[] for _ in range(n)]
     for s, t in zip(srcs, dsts):
         edges[s].append(t)
-    return BuchiAutomaton(n, init, frozenset(accepting), edges)
+    return BuchiAutomaton._trusted(n, init, frozenset(accepting), edges)
 
 
 def _quote(s: str) -> str:
@@ -257,7 +287,7 @@ def _parse_lines(text: str) -> BuchiAutomaton:
     edges: list[list[int]] = [[] for _ in range(n)]
     for s, t in seen:
         edges[s].append(t)
-    return BuchiAutomaton(n, init, frozenset(accepting), edges)
+    return BuchiAutomaton._trusted(n, init, frozenset(accepting), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,9 @@ whose lazy exports import only the module of the detector it runs.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from time import perf_counter
 
@@ -29,7 +27,6 @@ from .oracle import has_accepting_cycle, validate_lasso
 from .results import Verdict, WatchdogTimeout
 
 
-@dataclass(frozen=True, slots=True)
 class Algorithm:
     """One detector as the harness runs it, and the options it takes.
 
@@ -44,12 +41,16 @@ class Algorithm:
     rejecting them.
     """
 
-    function: str
-    parallel: bool = False
-    heuristic: bool = False
-    allred: bool = False
-    shared: bool = False
-    lenient: bool = False
+    __slots__ = ("function", "parallel", "heuristic", "allred", "shared", "lenient")
+
+    def __init__(self, function: str, parallel: bool = False, heuristic: bool = False, allred: bool = False,
+                 shared: bool = False, lenient: bool = False):
+        self.function = function
+        self.parallel = parallel
+        self.heuristic = heuristic
+        self.allred = allred
+        self.shared = shared
+        self.lenient = lenient
 
 
 ALGORITHM_TABLE: dict[str, Algorithm] = {
@@ -74,52 +75,61 @@ class VerdictCorrupt(RuntimeError):
     """Raised when a detector returns a lasso that fails validation."""
 
 
-@dataclass(slots=True)
 class RunConfig:
-    """One benchmark cell: an algorithm on an input at a worker count."""
+    """One benchmark cell: an algorithm on an input at a worker count.
 
-    algorithm: str
-    input: str
-    workers: int = 1
-    seed: int = 0
-    repeats: int = 5
-    heuristic: bool = False
-    allred: bool = False
+    The constructor raises InvalidConfig for options the algorithm does
+    not take and for fewer than one repeat.
+    """
 
-    def __post_init__(self) -> None:
-        _checked(self.algorithm, self.workers, self.seed, self.heuristic, self.allred)
-        if self.repeats < 1:
-            raise InvalidConfig(f"repeats must be >= 1, got {self.repeats}")
+    __slots__ = ("algorithm", "input", "workers", "seed", "repeats", "heuristic", "allred")
+
+    def __init__(self, algorithm: str, input: str, workers: int = 1, seed: int = 0, repeats: int = 5,
+                 heuristic: bool = False, allred: bool = False):
+        _checked(algorithm, workers, seed, heuristic, allred)
+        if repeats < 1:
+            raise InvalidConfig(f"repeats must be >= 1, got {repeats}")
+        self.algorithm = algorithm
+        self.input = input
+        self.workers = workers
+        self.seed = seed
+        self.repeats = repeats
+        self.heuristic = heuristic
+        self.allred = allred
 
 
-@dataclass(slots=True)
+# a BenchRecord's fields, in order, and the columns of its CSV row
+_COLUMNS = ("input", "alg", "workers", "seed", "repeat", "verdict", "wall_time_s", "blue_exp", "red_exp",
+            "repair_exp", "dangerous_count", "waits", "helper_joins", "owcty_rounds", "map_hits")
+CSV_HEADER = ",".join(_COLUMNS)
+
+
 class BenchRecord:
     """One completed run, one CSV row: its fields are the columns, in order."""
 
-    input: str
-    alg: str
-    workers: int
-    seed: int
-    repeat: int
-    verdict: str
-    wall_time_s: float
-    blue_exp: int
-    red_exp: int
-    repair_exp: int
-    dangerous_count: int
-    waits: int
-    helper_joins: int
-    owcty_rounds: int
-    map_hits: int
+    __slots__ = _COLUMNS
+
+    def __init__(self, input: str, alg: str, workers: int, seed: int, repeat: int, verdict: str,
+                 wall_time_s: float, blue_exp: int, red_exp: int, repair_exp: int, dangerous_count: int,
+                 waits: int, helper_joins: int, owcty_rounds: int, map_hits: int):
+        self.input = input
+        self.alg = alg
+        self.workers = workers
+        self.seed = seed
+        self.repeat = repeat
+        self.verdict = verdict
+        self.wall_time_s = wall_time_s
+        self.blue_exp = blue_exp
+        self.red_exp = red_exp
+        self.repair_exp = repair_exp
+        self.dangerous_count = dangerous_count
+        self.waits = waits
+        self.helper_joins = helper_joins
+        self.owcty_rounds = owcty_rounds
+        self.map_hits = map_hits
 
     def to_row(self) -> list:
-        return [
-            f"{self.wall_time_s:.6f}" if f.name == "wall_time_s" else getattr(self, f.name)
-            for f in fields(self)
-        ]
-
-
-CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
+        return [f"{self.wall_time_s:.6f}" if c == "wall_time_s" else getattr(self, c) for c in _COLUMNS]
 
 
 def _checked(name: str, workers: int, seed: int, heuristic: bool, allred: bool) -> Algorithm:
@@ -272,16 +282,18 @@ def run(cfg: RunConfig, aut: BuchiAutomaton | None = None, timeout: float | None
     return out
 
 
-@dataclass(slots=True)
 class SweepRow:
     """Aggregate over the repeats of one (input, algorithm, workers) cell."""
 
-    input: str
-    alg: str
-    workers: int
-    runs: int
-    mean_wall_s: float
-    speedup: float
+    __slots__ = ("input", "alg", "workers", "runs", "mean_wall_s", "speedup")
+
+    def __init__(self, input: str, alg: str, workers: int, runs: int, mean_wall_s: float, speedup: float):
+        self.input = input
+        self.alg = alg
+        self.workers = workers
+        self.runs = runs
+        self.mean_wall_s = mean_wall_s
+        self.speedup = speedup
 
 
 def sweep(
@@ -334,6 +346,8 @@ def sweep(
 
 
 def write_csv(records: list[BenchRecord], path) -> None:
+    import csv  # only bench writes CSV, so check never loads it
+
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         w = csv.writer(fh, lineterminator="\n")
@@ -342,6 +356,8 @@ def write_csv(records: list[BenchRecord], path) -> None:
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         fh.write("input,alg,workers,runs,mean_wall_s,speedup\n")
         w = csv.writer(fh, lineterminator="\n")

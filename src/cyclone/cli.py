@@ -15,7 +15,6 @@ run say, are not input problems and propagate.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -170,6 +169,8 @@ def _read_samples(path: str, alg: str | None, inp: str | None) -> list[float]:
     # a bench CSV may follow blank lines; its header is the first text
     head = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     if head < len(lines) and lines[head].startswith("input,alg,"):
+        import csv  # only dist reads CSV, so check never loads it
+
         out = []
         reader = csv.DictReader(lines[head:])
         for row in reader:
@@ -198,13 +199,14 @@ def _cmd_dist(args) -> int:
         rows = [(n, dist.expected_min(n), dist.min_stddev(n), dist.speedup(n)) for n in ns]
     except ZeroTime as e:  # every sample is zero
         raise _FileError(e) from e
+    # g-style: a sample of 1e200 or of 1e-9 prints in a few digits
     for n, em, sd, sp in rows:
-        print(f"N={n} expected={em:.6f} stddev={sd:.6f} speedup={sp:.4f}")
+        print(f"N={n} expected={em:.6g} stddev={sd:.6g} speedup={sp:.6g}")
     if args.output:
         with _user_data(), open(args.output, "w") as fh:
             fh.write("n,expected_min,stddev,speedup\n")
             for n, em, sd, sp in rows:
-                fh.write(f"{n},{em:.9f},{sd:.9f},{sp:.6f}\n")
+                fh.write(f"{n},{em:.10g},{sd:.10g},{sp:.10g}\n")
     return 0
 
 

@@ -44,7 +44,6 @@ such as a dead-end chain behind the cycle, each cost a full walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 from .automaton import BuchiAutomaton
@@ -52,7 +51,6 @@ from .paths import bfs_tree, cycle_through, tree_path
 from .results import Lasso, Verdict, WorkerStats, WorkStats, check_deadline
 
 
-@dataclass(slots=True)
 class MapResult:
     """Outcome of one propagation pass: a lasso, or the stable id table.
 
@@ -62,11 +60,15 @@ class MapResult:
     paths.bfs_tree returns it; paths.tree_path reads a lasso's stem off it.
     """
 
-    lasso: Lasso | None
-    table: list[int]
-    pops: int
-    reach: set[int]
-    parent: list[int | None]
+    __slots__ = ("lasso", "table", "pops", "reach", "parent")
+
+    def __init__(self, lasso: Lasso | None, table: list[int], pops: int, reach: set[int],
+                 parent: list[int | None]):
+        self.lasso = lasso
+        self.table = table
+        self.pops = pops
+        self.reach = reach
+        self.parent = parent
 
 
 def map_pass(aut: BuchiAutomaton, deadline: float | None = None) -> MapResult:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
 
 
@@ -16,42 +15,77 @@ def check_deadline(deadline: float | None) -> None:
         raise WatchdogTimeout("run passed its deadline")
 
 
-@dataclass(frozen=True, slots=True)
 class Lasso:
     """Counterexample: a stem from init to a cycle through an accepting state.
 
     stem[0] is the initial state, stem[-1] equals cycle[0], consecutive
     states are connected by edges, and the last cycle state has an edge
     back to cycle[0].  accept_index points at an accepting cycle state.
+    Immutable and hashable; equal to a Lasso of the same three fields.
     """
 
-    stem: tuple[int, ...]
-    cycle: tuple[int, ...]
-    accept_index: int
+    __slots__ = ("stem", "cycle", "accept_index")
+
+    def __init__(self, stem: tuple[int, ...], cycle: tuple[int, ...], accept_index: int):
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "accept_index", accept_index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.stem, self.cycle, self.accept_index) == (other.stem, other.cycle, other.accept_index)
+
+    def __hash__(self):
+        return hash((self.stem, self.cycle, self.accept_index))
+
+    def __repr__(self) -> str:
+        return f"Lasso(stem={self.stem!r}, cycle={self.cycle!r}, accept_index={self.accept_index!r})"
 
 
-@dataclass(slots=True)
 class WorkerStats:
-    """Counters owned by one worker; never shared while a run is live."""
+    """Counters owned by one worker; never shared while a run is live.
 
-    blue_expansions: int = 0
-    red_expansions: int = 0
-    repair_expansions: int = 0
-    max_stack_depth: int = 0
-    waits: int = 0
-    helper_joins: int = 0
-    dangerous_marks: int = 0
+    The counters are __slots__, in order; two WorkerStats are equal when
+    every counter is.
+    """
+
+    __slots__ = ("blue_expansions", "red_expansions", "repair_expansions", "max_stack_depth",
+                 "waits", "helper_joins", "dangerous_marks")
+
+    def __init__(self, blue_expansions: int = 0, red_expansions: int = 0, repair_expansions: int = 0,
+                 max_stack_depth: int = 0, waits: int = 0, helper_joins: int = 0, dangerous_marks: int = 0):
+        self.blue_expansions = blue_expansions
+        self.red_expansions = red_expansions
+        self.repair_expansions = repair_expansions
+        self.max_stack_depth = max_stack_depth
+        self.waits = waits
+        self.helper_joins = helper_joins
+        self.dangerous_marks = dangerous_marks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-@dataclass(slots=True)
 class WorkStats:
     """Per-run aggregate: one WorkerStats per worker plus run-level extras."""
 
-    workers: list[WorkerStats] = field(default_factory=list)
-    wall_time: float = 0.0
-    # Algorithm-specific scalars: dangerous_count, repair_states,
-    # owcty_rounds, map_hits.  Absent keys mean zero.
-    extras: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("workers", "wall_time", "extras")
+
+    def __init__(self, workers: list[WorkerStats], wall_time: float):
+        self.workers = workers
+        self.wall_time = wall_time
+        # Algorithm-specific scalars, set after the run: dangerous_count,
+        # repair_states, owcty_rounds, map_hits.  Absent keys mean zero.
+        self.extras: dict[str, int] = {}
 
     @property
     def blue_expansions(self) -> int:
@@ -78,13 +112,18 @@ class WorkStats:
         return self.blue_expansions + self.red_expansions + self.repair_expansions
 
 
-@dataclass(slots=True)
 class Verdict:
-    """Outcome of one detector run.  lasso is None exactly for NO-CYCLE."""
+    """Outcome of one detector run.  lasso is None exactly for NO-CYCLE.
 
-    lasso: Lasso | None
-    stats: WorkStats
-    winner: int | None = None  # worker that reported the cycle, if any
+    winner is the worker that reported the cycle, if any.
+    """
+
+    __slots__ = ("lasso", "stats", "winner")
+
+    def __init__(self, lasso: Lasso | None, stats: WorkStats, winner: int | None = None):
+        self.lasso = lasso
+        self.stats = stats
+        self.winner = winner
 
     @property
     def cycle_found(self) -> bool:

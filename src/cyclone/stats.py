@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 
 class EmptyDistribution(ValueError):
@@ -21,11 +20,13 @@ class ZeroTime(ZeroDivisionError):
     """Raised when a speedup would divide by an expected time of zero."""
 
 
-@dataclass(frozen=True, slots=True)
 class EmpiricalDistribution:
     """Sorted sample of completion times, all finite and non-negative."""
 
-    samples: tuple[float, ...]
+    __slots__ = ("samples",)
+
+    def __init__(self, samples: tuple[float, ...]):
+        self.samples = samples
 
     @classmethod
     def from_samples(cls, values) -> "EmpiricalDistribution":

@@ -27,7 +27,7 @@ from cyclone import (
     worker_keys,
 )
 from cyclone.automaton import _parse_bulk, _parse_lines
-from strategies import automata
+from strategies import automata, layered
 
 
 def test_serialize_frozen():
@@ -124,10 +124,30 @@ def test_crlf_lines_and_spaces_inside_comments_parse():
     assert parse_automaton(text) == parse_automaton("states 2\ninit 1\naccepting 0 1\ntrans 1 0\n")
 
 
-def test_duplicate_successors_rejected_on_construction():
-    # only the parser knows line numbers, so this is a plain ValueError
-    with pytest.raises(ValueError, match="duplicate successor"):
-        BuchiAutomaton(2, 0, frozenset(), [[1, 1], []])
+@pytest.mark.parametrize("args, message", [
+    ((0, 0, frozenset(), []), "automaton needs at least one state"),
+    ((2, 2, frozenset(), [[], []]), "init 2 out of range"),
+    ((2, 0, frozenset(), [[]]), "edges must list successors for every state"),
+    ((2, 0, frozenset({-1}), [[], []]), "accepting state -1 out of range"),
+    ((2, 0, frozenset(), [[1, 1], []]), "duplicate successor in state 0"),
+    ((2, 0, frozenset(), [[], [0, 2]]), "edge 1->2 out of range"),
+])
+def test_the_constructor_rejects_what_the_parser_would(args, message):
+    # only the parser knows line numbers, so these are plain ValueErrors
+    with pytest.raises(ValueError) as ei:
+        BuchiAutomaton(*args)
+    assert type(ei.value) is ValueError and str(ei.value) == message
+
+
+def test_automata_compare_by_value_and_are_unhashable():
+    a = BuchiAutomaton(2, 0, frozenset({1}), [[1], [0]])
+    assert a == BuchiAutomaton(2, 0, frozenset({1}), [[1], [0]])
+    assert a != BuchiAutomaton(2, 1, frozenset({1}), [[1], [0]])
+    assert a != BuchiAutomaton(2, 0, frozenset(), [[1], [0]])
+    assert a != BuchiAutomaton(2, 0, frozenset({1}), [[1], []])
+    assert a != (2, 0, frozenset({1}), [[1], [0]])
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_the_accept_mask_is_derived_not_passed():
@@ -139,11 +159,24 @@ def test_the_accept_mask_is_derived_not_passed():
     assert BuchiAutomaton(2, 0, frozenset({1}), [[1], []]).accept_mask == bytearray(b"\x00\x01")
 
 
+def _parsed_like_constructed(a):
+    # both parser paths build through BuchiAutomaton._trusted, which skips
+    # the constructor's checks but must give the same automaton and mask;
+    # the bulk path takes every canonical text
+    text = a.to_text()
+    for b in (parse_automaton(text), _parse_bulk(text), _parse_lines(text)):
+        assert b == a
+        assert b.accept_mask == a.accept_mask
+
+
 @given(automata())
 def test_text_round_trip(a):
-    assert parse_automaton(a.to_text()) == a
-    # the bulk path takes every canonical text
-    assert _parse_bulk(a.to_text()) == a
+    _parsed_like_constructed(a)
+
+
+def test_layered_graphs_parse_to_the_constructed_automaton():
+    for seed in range(4):
+        _parsed_like_constructed(layered(seed, back_edge=seed % 2 == 1))
 
 
 @st.composite
@@ -188,6 +221,10 @@ def test_mutated_text_parses_or_raises_a_typed_error(text):
         assert 1 <= e.line <= text.count("\n") + 1
         assert str(e).startswith(f"line {e.line}:")
     else:
+        # the parser does not repeat the constructor's checks, having made
+        # them itself, so what it returns must pass them
+        b = BuchiAutomaton(a.num_states, a.init, a.accepting, a.edges)
+        assert b == a and b.accept_mask == a.accept_mask
         assert parse_automaton(a.to_text()) == a
 
 

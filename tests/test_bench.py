@@ -10,6 +10,7 @@ import cyclone
 import cyclone.bench as bench
 from cyclone import (
     CSV_HEADER,
+    BenchRecord,
     BuchiAutomaton,
     InputNotFound,
     InvalidConfig,
@@ -115,6 +116,17 @@ def test_csv_header_and_rows(tmp_path):
     )
     assert len(lines) == 4
     assert lines[1].startswith("lasso:2:3:acc,ndfs,1,0,0,CYCLE,")
+
+
+def test_a_record_is_one_row_under_the_header():
+    assert CSV_HEADER == (
+        "input,alg,workers,seed,repeat,verdict,wall_time_s,blue_exp,red_exp,"
+        "repair_exp,dangerous_count,waits,helper_joins,owcty_rounds,map_hits"
+    )
+    r = BenchRecord(input="needle:4:5:0", alg="nmc", workers=2, seed=7, repeat=1, verdict="CYCLE",
+                    wall_time_s=0.01234567, blue_exp=11, red_exp=12, repair_exp=13, dangerous_count=14,
+                    waits=15, helper_joins=16, owcty_rounds=0, map_hits=0)
+    assert r.to_row() == ["needle:4:5:0", "nmc", 2, 7, 1, "CYCLE", "0.012346", 11, 12, 13, 14, 15, 16, 0, 0]
 
 
 def test_repeats_bump_the_seed():

@@ -162,7 +162,7 @@ def test_dist_reads_bench_csv_and_plain_files(tmp_path, capsys):
     raw = tmp_path / "times.txt"
     raw.write_text("2.0\n4.0\n")
     assert cli.main(["dist", str(raw), "--n", "2"]) == 0
-    assert capsys.readouterr().out.startswith("N=2 expected=2.500000")
+    assert capsys.readouterr().out.startswith("N=2 expected=2.5 ")
 
 
 def test_dist_finds_bench_csv_header_after_blank_lines(tmp_path, capsys):
@@ -187,7 +187,7 @@ def test_dist_skips_comments_in_plain_files(tmp_path, capsys):
     raw = tmp_path / "times.txt"
     raw.write_text("# wall times in seconds\n2.0\n4.0  # slow run\n")
     assert cli.main(["dist", str(raw), "--n", "2"]) == 0
-    assert capsys.readouterr().out.startswith("N=2 expected=2.500000")
+    assert capsys.readouterr().out.startswith("N=2 expected=2.5 ")
 
 
 def test_dist_writes_model_table_csv(tmp_path, capsys):
@@ -197,10 +197,10 @@ def test_dist_writes_model_table_csv(tmp_path, capsys):
     assert cli.main(["dist", str(raw), "--n", "1,2", "-o", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "n,expected_min,stddev,speedup"
-    assert lines[1].startswith("1,3.000000000,")
-    assert lines[2].startswith("2,2.500000000,")
+    assert lines[1].startswith("1,3,")
+    assert lines[2].startswith("2,2.5,")
     # speedup column for n=2 is em(1)/em(2) = 3/2.5
-    assert lines[2].endswith("1.200000")
+    assert lines[2].endswith(",1.2")
 
 
 def test_dist_of_large_finite_samples_prints_a_finite_stddev(tmp_path, capsys):
@@ -209,7 +209,22 @@ def test_dist_of_large_finite_samples_prints_a_finite_stddev(tmp_path, capsys):
     assert cli.main(["dist", str(raw), "--n", "1"]) == 0
     out = capsys.readouterr().out
     assert float(re.search(r" stddev=(\S+) ", out)[1]) == pytest.approx(5e199)
-    assert out.endswith(" speedup=1.0000\n")
+    assert out.endswith(" speedup=1\n")
+
+
+@pytest.mark.parametrize("text, stdout, row", [
+    # before g-style figures, 1e200 printed as a 201-digit integer and
+    # 1e-9 as 0.000000
+    ("1e200\n0\n", "N=1 expected=5e+199 stddev=5e+199 speedup=1\n", "1,5e+199,5e+199,1"),
+    ("1e-9\n3e-9\n", "N=1 expected=2e-09 stddev=1e-09 speedup=1\n", "1,2e-09,1e-09,1"),
+])
+def test_dist_prints_huge_and_tiny_figures_in_few_digits(tmp_path, capsys, text, stdout, row):
+    raw = tmp_path / "times.txt"
+    raw.write_text(text)
+    table = tmp_path / "model.csv"
+    assert cli.main(["dist", str(raw), "--n", "1", "-o", str(table)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert table.read_text().splitlines() == ["n,expected_min,stddev,speedup", row]
 
 
 @pytest.mark.parametrize("text, ns, message", [

@@ -1,7 +1,7 @@
 """The package surface: no public name shadows a submodule, every export resolves,
-the names load lazily, the README's library example runs, no module touches
-threads, only the package loads modules by name, and only the drivers build
-WorkerStats."""
+the names load lazily, a check run loads neither dataclasses nor csv, the
+README's library example runs, no module touches threads or dataclasses, only
+the package loads modules by name, and only the drivers build WorkerStats."""
 
 import ast
 import importlib
@@ -62,6 +62,32 @@ def test_the_cli_loads_only_what_check_runs():
     assert out["bound"] == out["all"]
 
 
+# modules that a `check` run must not load: dataclasses and what it
+# pulls in, and csv, which only bench and dist use
+_CHECK_UNUSED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+
+_CHECK_PROBE = """
+import json, sys
+before = set(sys.modules)  # whatever site loaded is not the run's doing
+from cyclone.cli import main
+code = main(["check", sys.argv[1], "--alg", "ndfs", "--oracle"])
+print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_a_check_run_loads_no_dataclasses_and_no_csv(tmp_path):
+    path = tmp_path / "lasso.aut"
+    path.write_text(cyclone.gen_lasso(2, 3, True).to_text())
+    src = Path(cyclone.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _CHECK_PROBE, str(path)], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    *printed, last = proc.stdout.splitlines()
+    out = json.loads(last)
+    assert out["code"] == 0 and printed[0] == "CYCLE"
+    assert "cyclone.search" in out["added"]  # the detector did run in this child
+    assert _CHECK_UNUSED.isdisjoint(out["added"]), _CHECK_UNUSED & set(out["added"])
+
+
 def test_readme_library_example_runs(capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
@@ -89,6 +115,12 @@ def test_no_module_imports_threading():
     # workers take turns in one thread and a run stops by closing them, so
     # the shared color store is plain data and nothing takes a lock
     assert _importers("threading", "_thread") == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses would load inspect, ast, dis and tokenize into every check
+    # child; the records are plain classes with __slots__
+    assert _importers("dataclasses") == []
 
 
 def test_only_the_package_imports_importlib():

@@ -19,7 +19,6 @@ The turns interleave whole steps only: between two yields one worker
 has the ColorStore to itself, which is the store's one-thread contract.
 """
 
-import dataclasses
 import hashlib
 import itertools
 
@@ -64,8 +63,14 @@ def _run(alg, a, n, seed):
     return DETECTORS[alg](a, n, seed, store), store
 
 
+def _counters(w):
+    # every WorkerStats counter, in declaration order
+    return (w.blue_expansions, w.red_expansions, w.repair_expansions, w.max_stack_depth, w.waits,
+            w.helper_joins, w.dangerous_marks)
+
+
 def _replay(v):
-    return v.lasso, v.winner, [dataclasses.astuple(w) for w in v.stats.workers]
+    return v.lasso, v.winner, [_counters(w) for w in v.stats.workers]
 
 
 def test_sweep_is_sound_bounded_repeatable_and_shares_work():
@@ -136,7 +141,7 @@ def _grid_digests():
             (False, True) if row.allred else (False,),
         ):
             v = execute(a, alg, n, seed, heuristic, allred, timeout=0)
-            workers = [dataclasses.astuple(w) for w in v.stats.workers]
+            workers = [_counters(w) for w in v.stats.workers]
             run = (v.lasso, v.winner, workers, sorted(v.stats.extras.items()))
             digests.setdefault((alg, n), hashlib.sha256()).update(repr(run).encode())
     return {k: h.hexdigest() for k, h in digests.items()}
