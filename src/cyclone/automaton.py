@@ -9,7 +9,6 @@ every worker-specific ordering is a seeded permutation of it.
 
 from __future__ import annotations
 
-import math
 import random
 import re
 
@@ -365,12 +364,13 @@ def gen_random(n: int, avg_out_degree: float, accept_prob: float, seed: int) -> 
 
     Duplicate targets are dropped, so out-degrees may come out below the
     rounded average.  Each state is accepting with probability accept_prob.
-    Init is state 0.  Deterministic in seed.
+    Init is state 0.  Deterministic in seed.  The draws run before any
+    deadline exists, so a degree outside [0, n] is a ValueError.
     """
     if n < 1:
         raise ValueError(f"need at least one state, got {n}")
-    if not (math.isfinite(avg_out_degree) and avg_out_degree >= 0):
-        raise ValueError(f"avg_out_degree must be finite and >= 0, got {avg_out_degree}")
+    if not (0 <= avg_out_degree <= n):  # NaN fails it too
+        raise ValueError(f"avg_out_degree must be finite and in [0, {n}], got {avg_out_degree}")
     if not (0.0 <= accept_prob <= 1.0):
         raise ValueError(f"accept_prob must be in [0, 1], got {accept_prob}")
     rng = random.Random(seed)

@@ -109,24 +109,23 @@ class BenchRecord:
 
     __slots__ = _COLUMNS
 
-    def __init__(self, input: str, alg: str, workers: int, seed: int, repeat: int, verdict: str,
-                 wall_time_s: float, blue_exp: int, red_exp: int, repair_exp: int, dangerous_count: int,
-                 waits: int, helper_joins: int, owcty_rounds: int, map_hits: int):
-        self.input = input
-        self.alg = alg
-        self.workers = workers
+    def __init__(self, cfg: RunConfig, repeat: int, seed: int, v: Verdict):
+        st = v.stats
+        self.input = cfg.input
+        self.alg = cfg.algorithm
+        self.workers = cfg.workers
         self.seed = seed
         self.repeat = repeat
-        self.verdict = verdict
-        self.wall_time_s = wall_time_s
-        self.blue_exp = blue_exp
-        self.red_exp = red_exp
-        self.repair_exp = repair_exp
-        self.dangerous_count = dangerous_count
-        self.waits = waits
-        self.helper_joins = helper_joins
-        self.owcty_rounds = owcty_rounds
-        self.map_hits = map_hits
+        self.verdict = "CYCLE" if v.lasso is not None else "NO-CYCLE"
+        self.wall_time_s = st.wall_time
+        self.blue_exp = st.blue_expansions
+        self.red_exp = st.red_expansions
+        self.repair_exp = st.repair_expansions
+        self.dangerous_count = st.extras.get("dangerous_count", 0)
+        self.waits = st.waits
+        self.helper_joins = st.helper_joins
+        self.owcty_rounds = st.extras.get("owcty_rounds", 0)
+        self.map_hits = st.extras.get("map_hits", 0)
 
     def to_row(self) -> list:
         return [f"{self.wall_time_s:.6f}" if c == "wall_time_s" else getattr(self, c) for c in _COLUMNS]
@@ -246,27 +245,6 @@ def execute(
     return v
 
 
-def _record(cfg: RunConfig, repeat: int, seed: int, v: Verdict) -> BenchRecord:
-    x = v.stats.extras
-    return BenchRecord(
-        input=cfg.input,
-        alg=cfg.algorithm,
-        workers=cfg.workers,
-        seed=seed,
-        repeat=repeat,
-        verdict="CYCLE" if v.lasso is not None else "NO-CYCLE",
-        wall_time_s=v.stats.wall_time,
-        blue_exp=v.stats.blue_expansions,
-        red_exp=v.stats.red_expansions,
-        repair_exp=v.stats.repair_expansions,
-        dangerous_count=x.get("dangerous_count", 0),
-        waits=v.stats.waits,
-        helper_joins=v.stats.helper_joins,
-        owcty_rounds=x.get("owcty_rounds", 0),
-        map_hits=x.get("map_hits", 0),
-    )
-
-
 def run(cfg: RunConfig, aut: BuchiAutomaton | None = None, timeout: float | None = None) -> list[BenchRecord]:
     """Execute a configuration repeats times, bumping the seed each time."""
     if aut is None:
@@ -278,7 +256,7 @@ def run(cfg: RunConfig, aut: BuchiAutomaton | None = None, timeout: float | None
             v = execute(aut, cfg.algorithm, cfg.workers, seed, cfg.heuristic, cfg.allred, timeout=timeout)
         except VerdictCorrupt as e:
             raise VerdictCorrupt(f"{e} on {cfg.input}") from None
-        out.append(_record(cfg, k, seed, v))
+        out.append(BenchRecord(cfg, k, seed, v))
     return out
 
 

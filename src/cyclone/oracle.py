@@ -104,21 +104,15 @@ def witness_lasso(aut: BuchiAutomaton) -> Lasso | None:
     comp = _accepting_cycle_scc(aut)
     if comp is None:
         return None
-    outside = bytearray([1]) * aut.num_states
-    for s in comp:
-        outside[s] = 0
-    for a in comp:
-        if not aut.accept_mask[a]:
-            continue
-        cycle = cycle_through(aut, a, outside)
-        if cycle is None:
-            continue  # accepting state in a multi-state SCC always cycles, but stay total
-        stem = bfs_path(aut, aut.init, a)
-        assert stem is not None, "SCC states are reachable from init by construction"
-        lasso = Lasso(tuple(stem), tuple(cycle), 0)
-        assert validate_lasso(aut, lasso)
-        return lasso
-    raise AssertionError("accepting SCC without a cycle through an accepting state")
+    # every state of a non-trivial SCC lies on a cycle, and every cycle
+    # through it stays inside the SCC
+    a = next(s for s in comp if aut.accept_mask[s])
+    cycle = cycle_through(aut, a)
+    stem = bfs_path(aut, aut.init, a)
+    assert cycle is not None and stem is not None
+    lasso = Lasso(tuple(stem), tuple(cycle), 0)
+    assert validate_lasso(aut, lasso)
+    return lasso
 
 
 def validate_lasso(aut: BuchiAutomaton, lasso: Lasso) -> bool:

@@ -17,9 +17,9 @@ it is never stripped.  No walk of the fixpoint therefore needs a
 restriction to the candidates.  Each round's closure is one
 paths.bfs_tree walk from the accepting candidates, whose fresh parent
 list tells which candidates it missed.  In-degrees live in a list: they
-are counted once, over the first round's closure, and decremented as
-predecessors leave, whether a later closure missed them or they were
-stripped.
+are counted once, over the candidates before the first round, and
+decremented as predecessors leave, whether a round's closure missed them
+or they were stripped.
 
 The initial closure is one paths.bfs_tree walk from init, which also
 records each reachable state's breadth-first parent.  Every lasso's stem
@@ -35,9 +35,11 @@ uncounted.
 
 A deadline, when given, is read every 1,024 pops of the propagation,
 before each phase of a fixpoint round, and before each accepting state
-the lasso search tries, so between two reads the run walks the
-reachable graph at most once per successor of one state; a run past it
-raises WatchdogTimeout.  The lasso search needs its read: it tries the
+the lasso search tries.  The in-degree count, one pass over the edges of
+the reachable graph, runs between the propagation's last read and the
+first round's.  So between two reads the run walks the reachable graph
+at most once per successor of one state; a run past it raises
+WatchdogTimeout.  The lasso search needs its read: it tries the
 accepting survivors in id order, and survivors that sit on no cycle,
 such as a dead-end chain behind the cycle, each cost a full walk.
 """
@@ -129,21 +131,17 @@ def owcty(aut: BuchiAutomaton, deadline: float | None = None) -> Verdict:
     amask = aut.accept_mask
     edges = aut.edges
     candidates = list(mr.reach)
-    indeg: list[int] | None = None  # edges into each candidate from candidates
+    indeg = [0] * aut.num_states  # edges into each state from the candidates
+    for s in candidates:
+        for t in edges[s]:
+            indeg[t] += 1
     rounds = 0
     while candidates:
         check_deadline(deadline)
         rounds += 1
         kept, parent = bfs_tree(aut, [s for s in candidates if amask[s]])
         pops += len(kept)
-        if indeg is None:
-            # counted once, over the first closure; the states it missed
-            # were never counted
-            indeg = [0] * aut.num_states
-            for s in kept:
-                for t in edges[s]:
-                    indeg[t] += 1
-        elif len(kept) < len(candidates):
+        if len(kept) < len(candidates):
             for s in candidates:
                 if parent[s] is None:
                     for t in edges[s]:

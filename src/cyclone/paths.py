@@ -13,9 +13,7 @@ tree_path reads the path from a state's root to it off that list.  From
 a single root it is the path bfs_path returns, because both walks enter
 every state from the same parent.
 
-bfs_path keeps its marks in a bytearray mask with one byte per state; a
-walk that must avoid some states starts from a copy of a mask in which
-they are already marked, so an edge costs one byte test either way.
+bfs_path keeps its marks in a bytearray mask with one byte per state.
 Beside its queue it keeps the queue index of each state's parent, and
 stops at its target.
 """
@@ -65,23 +63,14 @@ def tree_path(parent: list[int | None], target: int) -> list[int] | None:
     return path
 
 
-def bfs_path(
-    aut: BuchiAutomaton,
-    src: int,
-    target: int,
-    barred: bytearray | None = None,
-) -> list[int] | None:
+def bfs_path(aut: BuchiAutomaton, src: int, target: int) -> list[int] | None:
     """Shortest path src -> target, or None.
 
-    A path of length zero (src is the target) is returned as [src].  No
-    state marked in the barred mask is visited, src included; the mask
-    itself is not changed.
+    A path of length zero (src is the target) is returned as [src].
     """
-    if barred is not None and barred[src]:
-        return None
     if src == target:
         return [src]
-    seen = bytearray(aut.num_states) if barred is None else bytearray(barred)
+    seen = bytearray(aut.num_states)
     seen[src] = 1
     edges = aut.edges
     queue = [src]
@@ -103,21 +92,18 @@ def bfs_path(
     return None
 
 
-def cycle_through(aut: BuchiAutomaton, s: int, barred: bytearray | None = None) -> list[int] | None:
+def cycle_through(aut: BuchiAutomaton, s: int) -> list[int] | None:
     """Non-trivial cycle s -> ... -> s, returned without the repeated endpoint.
 
     Needs at least one edge, so a state without a self-loop must reach
-    itself through a successor.  The cycle avoids the states marked in
-    barred.  The shortest such cycle is returned, the first successor's
-    on a tie.  None when no cycle exists.
+    itself through a successor.  The shortest such cycle is returned, the
+    first successor's on a tie.  None when no cycle exists.
     """
     best: list[int] | None = None
     for t in aut.edges[s]:
-        if barred is not None and barred[t]:
-            continue
         if t == s:
             return [s]
-        back = bfs_path(aut, t, s, barred)
+        back = bfs_path(aut, t, s)
         if back is not None:
             cand = [s] + back[:-1]
             if best is None or len(cand) < len(best):

@@ -59,6 +59,10 @@ def test_parse_skips_comments_and_blanks():
         ("# lead\nstates 2\ninit 0\naccepting\ntrans 0 2\n", DanglingStateId, 5),
         ("states 2\ninit 0\naccepting\ntrans 0 1\ntrans 0 1\n", DuplicateEdge, 5),
         ("states 2\ninit 0\naccepting\ntrans 0\n", MalformedHeader, 4),
+        ("states 2\ninit 0\naccepting\ntrans 2 0\n", DanglingStateId, 4),
+        # three tokens a line and one 'trans' a line on average, but line 4
+        # holds both: only the bulk path's line-shape check turns it away
+        ("states 2\ninit 0\naccepting\ntrans 0 1 trans\n1 0\n", MalformedHeader, 4),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, exc, line):

@@ -57,6 +57,11 @@ def test_resolve_file_and_missing(tmp_path):
         "random:10:nan:0.1:1",
         "needle:4:10",
         "lasso:2:0:acc",
+        "lasso:-1:2:acc",
+        "random:0:2:0.1:1",
+        "random:10:2:1.5:1",
+        "random:10:11:0.1:1",
+        "needle:0:10:1",
     ],
 )
 def test_bad_generator_specs_rejected(spec):
@@ -123,10 +128,16 @@ def test_a_record_is_one_row_under_the_header():
         "input,alg,workers,seed,repeat,verdict,wall_time_s,blue_exp,red_exp,"
         "repair_exp,dangerous_count,waits,helper_joins,owcty_rounds,map_hits"
     )
-    r = BenchRecord(input="needle:4:5:0", alg="nmc", workers=2, seed=7, repeat=1, verdict="CYCLE",
-                    wall_time_s=0.01234567, blue_exp=11, red_exp=12, repair_exp=13, dangerous_count=14,
-                    waits=15, helper_joins=16, owcty_rounds=0, map_hits=0)
-    assert r.to_row() == ["needle:4:5:0", "nmc", 2, 7, 1, "CYCLE", "0.012346", 11, 12, 13, 14, 15, 16, 0, 0]
+    # the counters sum over the workers; the seed is the run's, not the config's
+    stats = WorkStats([WorkerStats(blue_expansions=5, red_expansions=12, waits=15),
+                       WorkerStats(blue_expansions=6, repair_expansions=13, helper_joins=16)], 0.01234567)
+    stats.extras.update(dangerous_count=14, owcty_rounds=2, map_hits=1)
+    v = Verdict(Lasso((0, 1), (1, 2), 0), stats, winner=1)
+    r = BenchRecord(RunConfig("nmc", "needle:4:5:0", workers=2, seed=3), 1, 7, v)
+    assert r.to_row() == ["needle:4:5:0", "nmc", 2, 7, 1, "CYCLE", "0.012346", 11, 12, 13, 14, 15, 16, 2, 1]
+    # absent extras read as zero
+    r = BenchRecord(RunConfig("owcty", "x"), 0, 0, Verdict(None, WorkStats([WorkerStats()], 0.0)))
+    assert r.to_row() == ["x", "owcty", 1, 0, 0, "NO-CYCLE", "0.000000", 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_repeats_bump_the_seed():

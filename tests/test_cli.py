@@ -102,9 +102,15 @@ def test_non_finite_timeout_exits_one(capsys, secs):
     assert f"bad timeout {secs}" in capsys.readouterr().err
 
 
-def test_non_finite_generator_degree_exits_one(capsys):
-    assert cli.main(["gen", "random:10:inf:0.1:1"]) == 1
-    assert "avg_out_degree must be finite" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["gen", "random:10:inf:0.1:1"],
+    # the draws run before any deadline exists, so no --timeout could stop
+    # a degree far above the state count
+    ["check", "random:2:3e6:0.5:1", "--timeout", "0.1"],
+])
+def test_bad_generator_degree_exits_one(capsys, argv):
+    assert cli.main(argv) == 1
+    assert "avg_out_degree must be finite and in [0, " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", ["inf", "nan"])
@@ -128,9 +134,15 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_bad_worker_list_exits_one(tmp_path, capsys):
-    assert cli.main(["bench", "lasso:1:1:acc", "--workers", "1,x", "-o", str(tmp_path / "r.csv")]) == 1
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize("flag, value, message", [
+    ("--workers", "1,x", "invalid literal"),
+    ("--workers", ",", "need at least one algorithm and one worker count"),
+    ("--algs", ",", "need at least one algorithm and one worker count"),
+])
+def test_bad_bench_list_exits_one(tmp_path, capsys, flag, value, message):
+    assert cli.main(["bench", "lasso:1:1:acc", flag, value, "-o", str(tmp_path / "r.csv")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_bench_writes_records_and_aggregates(tmp_path, capsys):
@@ -163,6 +175,16 @@ def test_dist_reads_bench_csv_and_plain_files(tmp_path, capsys):
     raw.write_text("2.0\n4.0\n")
     assert cli.main(["dist", str(raw), "--n", "2"]) == 0
     assert capsys.readouterr().out.startswith("N=2 expected=2.5 ")
+
+
+def test_dist_filters_csv_rows_by_input(tmp_path, capsys):
+    rec = tmp_path / "rec.csv"
+    rec.write_text("input,alg,workers,wall_time_s\na,ndfs,1,2.0\nb,ndfs,1,100.0\na,ndfs,1,4.0\n")
+    assert cli.main(["dist", str(rec), "--n", "2", "--input", "a"]) == 0
+    assert capsys.readouterr().out.startswith("N=2 expected=2.5 ")
+    assert cli.main(["dist", str(rec), "--n", "2", "--input", "b"]) == 0
+    assert capsys.readouterr().out.startswith("N=2 expected=100 ")
+    assert cli.main(["dist", str(rec), "--input", "c"]) == 1
 
 
 def test_dist_finds_bench_csv_header_after_blank_lines(tmp_path, capsys):

@@ -15,7 +15,8 @@ from cyclone import (
     nmc_ndfs,
     validate_lasso,
 )
-from cyclone.colors import DANGEROUS, RED
+from cyclone.colors import BLUE, DANGEROUS, RED
+from cyclone.results import Lasso
 from strategies import automata, layered
 
 
@@ -110,6 +111,22 @@ def test_helper_join_counter_recorded():
         assert v.cycle_found == has_accepting_cycle(a), seed
         tot += v.stats.helper_joins
     assert tot > 0
+
+
+def test_a_helper_off_the_board_can_win():
+    # 0 -> 1 -> [4, 2], 2 -> 3 -> 1 with 1 accepting, and a dead-end chain
+    # 4 -> ... -> 63.  With 2 and 4 pre-colored blue and red and 1
+    # dangerous, worker 1 finishes its pass, picks the open repair of 1 off
+    # the board, and closes the cycle 1 2 3 before worker 0's repair does
+    a = BuchiAutomaton(64, 0, frozenset({1}), [[1], [4, 2], [3], [1]] + [[s + 1] for s in range(4, 63)] + [[]])
+    store = ColorStore(a.num_states, a.accepting)
+    for bit in (BLUE, RED):
+        store.plane(bit)[2] = store.plane(bit)[4] = 1
+    store.plane(DANGEROUS)[1] = 1
+    v = nmc_ndfs(a, 2, 4, store=store)
+    assert v.winner == 1
+    assert [w.helper_joins for w in v.stats.workers] == [0, 1]
+    assert v.lasso == Lasso((0, 1), (1, 2, 3), 0)
 
 
 def test_a_repair_that_leaves_its_root_unsafe_fails_loudly(monkeypatch):
