@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .automaton import BuchiAutomaton
-from .paths import bfs_path, cycle_through
+from .paths import bfs_tree, cycle_through, tree_path
 from .results import Lasso
 
 
@@ -108,7 +108,7 @@ def witness_lasso(aut: BuchiAutomaton) -> Lasso | None:
     # through it stays inside the SCC
     a = next(s for s in comp if aut.accept_mask[s])
     cycle = cycle_through(aut, a)
-    stem = bfs_path(aut, aut.init, a)
+    stem = tree_path(bfs_tree(aut, [aut.init])[1], a)
     assert cycle is not None and stem is not None
     lasso = Lasso(tuple(stem), tuple(cycle), 0)
     assert validate_lasso(aut, lasso)

@@ -14,38 +14,59 @@ The candidate set starts as the states reachable from init and stays
 closed under successors: a round's closure is closed by construction,
 and a successor of a survivor keeps that survivor as a predecessor, so
 it is never stripped.  No walk of the fixpoint therefore needs a
-restriction to the candidates.  Each round's closure is one
-paths.bfs_tree walk from the accepting candidates, whose fresh parent
-list tells which candidates it missed.  In-degrees live in a list: they
-are counted once, over the candidates before the first round, and
-decremented as predecessors leave, whether a round's closure missed them
-or they were stripped.
+restriction to the candidates.
+
+The closure is kept across rounds, not recomputed.  Each candidate on it
+hangs from a parent on a path that starts at an accepting candidate, a
+root and its own parent; one bytearray marks every state as out, on
+this forest, or orphaned.  Before round 1 every reachable state is an
+orphan.  A round makes its accepting orphans roots, hangs each other
+orphan from a predecessor on the forest if it has one, and walks
+breadth-first from those over the remaining orphans.  The orphans the
+walk misses are exactly the candidates a closure from the accepting
+candidates would miss.  A candidate whose forest path is intact is
+reached.  So is an orphan that an accepting candidate reaches: the path
+to it runs over orphans only from its last step off the forest, or from
+its start when that is an accepting orphan.
+
+In-degrees live in a list.  The pass that counts them, once, over the
+reachable states before round 1, also builds the predecessor lists.
+The missed states' edges lower them, the states that reach 0 seed the
+strip, and the stripped states' edges lower them in turn, so no round
+scans all kept states.  The forest descendants of the stripped states
+are the next round's orphans.  A round therefore costs its orphans, the
+states it removes and their edges, never more than a closure of the
+candidates.
 
 The initial closure is one paths.bfs_tree walk from init, which also
 records each reachable state's breadth-first parent.  Every lasso's stem
 is read off that tree with paths.tree_path: the shortest path from init,
-the one bfs_path(aut, aut.init, target) returns, so no stem costs a
-second walk of the reachable graph.  A lasso's cycle comes from
-cycle_through, which runs only once a cycle is known to exist.
+so no stem costs a second walk of the reachable graph.  A lasso's cycle
+comes from cycle_through, one walk from its state, which runs only once
+a cycle is known to exist.
 
-The expansion count is the work of both phases: each state the initial
-closure reaches, each queue pop of the propagation, and each state kept
-or stripped in a fixpoint round.  The lasso's cycle walks stay
-uncounted.
+The expansion count is OWCTY's work in both phases: each state the
+initial closure reaches, each queue pop of the propagation, and each
+state kept or stripped in a fixpoint round, the kept ones added as a
+number.  The lasso's cycle walks stay uncounted.  Since the kept states
+are no longer walked, a fixpoint of many rounds counts more than the
+successor lists this implementation reads: on 400 nested rings, one
+peeled per round, the count is 243,799 for about 7,600 reads.
 
 A deadline, when given, is read every 1,024 pops of the propagation,
 before each phase of a fixpoint round, and before each accepting state
-the lasso search tries.  The in-degree count, one pass over the edges of
-the reachable graph, runs between the propagation's last read and the
-first round's.  So between two reads the run walks the reachable graph
-at most once per successor of one state; a run past it raises
-WatchdogTimeout.  The lasso search needs its read: it tries the
-accepting survivors in id order, and survivors that sit on no cycle,
-such as a dead-end chain behind the cycle, each cost a full walk.
+the lasso search tries.  The predecessor pass, one pass over the edges
+of the reachable graph, runs between the propagation's last read and
+round 1's first.  So between two reads the run walks the reachable
+graph at most once; a run past it raises WatchdogTimeout.  The lasso
+search needs its read: it tries the accepting survivors in id order, and
+survivors that sit on no cycle, such as a dead-end chain behind the
+cycle, each cost a full walk.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from time import perf_counter
 
 from .automaton import BuchiAutomaton
@@ -130,39 +151,77 @@ def owcty(aut: BuchiAutomaton, deadline: float | None = None) -> Verdict:
 
     amask = aut.accept_mask
     edges = aut.edges
-    candidates = list(mr.reach)
-    indeg = [0] * aut.num_states  # edges into each state from the candidates
-    for s in candidates:
+    preds: list[list[int]] = [[] for _ in range(aut.num_states)]
+    for s in mr.reach:
         for t in edges[s]:
-            indeg[t] += 1
+            preds[t].append(s)
+    indeg = [len(p) for p in preds]  # edges into each state from the candidates
+    mark = bytearray(aut.num_states)  # 0 out, 1 on the forest, 2 orphaned
+    parent = [0] * aut.num_states
+    orphans = list(mr.reach)
+    for s in orphans:
+        mark[s] = 2
+    live = len(orphans)
     rounds = 0
-    while candidates:
+    while live:
         check_deadline(deadline)
         rounds += 1
-        kept, parent = bfs_tree(aut, [s for s in candidates if amask[s]])
-        pops += len(kept)
-        if len(kept) < len(candidates):
-            for s in candidates:
-                if parent[s] is None:
-                    for t in edges[s]:
-                        indeg[t] -= 1
+        # accepting orphans become roots, and an orphan with a predecessor on
+        # the forest hangs from it; a walk from those then takes in every
+        # orphan it reaches, so the orphans left over are the missed ones
+        found = []
+        for s in orphans:
+            if amask[s]:
+                parent[s] = s
+            else:
+                for p in preds[s]:
+                    if mark[p] == 1:
+                        parent[s] = p
+                        break
+                else:
+                    continue
+            mark[s] = 1
+            found.append(s)
+        for s in found:  # appended to while iterated
+            for t in edges[s]:
+                if mark[t] == 2:
+                    mark[t] = 1
+                    parent[t] = s
+                    found.append(t)
+        missed = [s for s in orphans if mark[s] == 2]
         check_deadline(deadline)
-        # strip states with no predecessor left; they cannot sit on a cycle
-        dead = [s for s in kept if not indeg[s]]
+        # strip states with no predecessor left; they cannot sit on a cycle.
+        # Only round 1 starts with such states, all of them orphans; later a
+        # kept state loses its last predecessor only as the missed ones go
+        dead = [s for s in orphans if mark[s] == 1 and not indeg[s]]
+        for s in missed:
+            mark[s] = 0
+            for t in edges[s]:
+                indeg[t] -= 1
+                if not indeg[t] and mark[t] == 1:
+                    dead.append(t)
         for s in dead:  # appended to while iterated
+            mark[s] = 0
             for t in edges[s]:
                 indeg[t] -= 1
                 if not indeg[t]:
                     dead.append(t)
-        pops += len(dead)
-        if not dead and len(kept) == len(candidates):
+        kept = live - len(missed)
+        pops += kept + len(dead)
+        if not dead and not missed:
             break
-        # a stripped state keeps in-degree 0, every other one has more
-        candidates = [s for s in kept if indeg[s]] if dead else kept
+        live = kept - len(dead)
+        # the next round's orphans: every forest descendant of a stripped state
+        orphans = []
+        for s in chain(dead, orphans):  # appended to while iterated
+            for t in edges[s]:
+                if mark[t] == 1 and parent[t] == s:
+                    mark[t] = 2
+                    orphans.append(t)
 
     lasso = None
-    if candidates:
-        for a in sorted(s for s in candidates if amask[s]):
+    if live:
+        for a in sorted(s for s in mr.reach if mark[s] and amask[s]):
             check_deadline(deadline)
             cycle = cycle_through(aut, a)
             if cycle is not None:

@@ -9,13 +9,14 @@ entered state's parent in a list indexed by state, which is also its
 mark: None means not entered, and a root is its own parent.  Under
 CPython 3.11 a list slot is read and written faster than a bytearray
 byte, so recording the tree costs no more than a plain closure would.
-tree_path reads the path from a state's root to it off that list.  From
-a single root it is the path bfs_path returns, because both walks enter
-every state from the same parent.
+tree_path reads the path from a state's root to it off that list: from
+a single root, a shortest path to it.
 
-bfs_path keeps its marks in a bytearray mask with one byte per state.
-Beside its queue it keeps the queue index of each state's parent, and
-stops at its target.
+cycle_through is the same walk from one state, which stops at the first
+state it dequeues with an edge back to that state.  Breadth-first order
+makes that the end of a shortest cycle, and its layers keep the order of
+the state's successors, so a tie goes to the first successor that closes
+a cycle.
 """
 
 from __future__ import annotations
@@ -63,35 +64,6 @@ def tree_path(parent: list[int | None], target: int) -> list[int] | None:
     return path
 
 
-def bfs_path(aut: BuchiAutomaton, src: int, target: int) -> list[int] | None:
-    """Shortest path src -> target, or None.
-
-    A path of length zero (src is the target) is returned as [src].
-    """
-    if src == target:
-        return [src]
-    seen = bytearray(aut.num_states)
-    seen[src] = 1
-    edges = aut.edges
-    queue = [src]
-    parent = [-1]  # queue index of each queued state's parent
-    for i, s in enumerate(queue):
-        for t in edges[s]:
-            if seen[t]:
-                continue
-            if t == target:
-                path = [t]
-                while i >= 0:
-                    path.append(queue[i])
-                    i = parent[i]
-                path.reverse()
-                return path
-            seen[t] = 1
-            queue.append(t)
-            parent.append(i)
-    return None
-
-
 def cycle_through(aut: BuchiAutomaton, s: int) -> list[int] | None:
     """Non-trivial cycle s -> ... -> s, returned without the repeated endpoint.
 
@@ -99,13 +71,15 @@ def cycle_through(aut: BuchiAutomaton, s: int) -> list[int] | None:
     itself through a successor.  The shortest such cycle is returned, the
     first successor's on a tie.  None when no cycle exists.
     """
-    best: list[int] | None = None
-    for t in aut.edges[s]:
-        if t == s:
-            return [s]
-        back = bfs_path(aut, t, s)
-        if back is not None:
-            cand = [s] + back[:-1]
-            if best is None or len(cand) < len(best):
-                best = cand
-    return best
+    edges = aut.edges
+    parent: list[int | None] = [None] * aut.num_states
+    parent[s] = s
+    order = [s]
+    for u in order:  # appended to while iterated
+        for t in edges[u]:
+            if t == s:
+                return tree_path(parent, u)
+            if parent[t] is None:
+                parent[t] = u
+                order.append(t)
+    return None

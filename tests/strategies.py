@@ -1,6 +1,7 @@
-"""Shared test inputs: hypothesis strategies for small automata, a layered
-graph builder, a driver for a lone search, and a successor table that
-counts its reads."""
+"""Shared test inputs: hypothesis strategies for small automata, builders
+of layered, onion and fan-into-chain graphs, a driver for a lone search, a
+successor table that counts its reads, and an independent shortest-path
+reference."""
 
 import random
 
@@ -49,6 +50,26 @@ def layered(seed: int, back_edge: bool, layers: int = 12, width: int = 60) -> Bu
     return BuchiAutomaton(n, rings[0][0], accepting, [list(dict.fromkeys(e)) for e in edges])
 
 
+def onion(layers: int) -> BuchiAutomaton:
+    # layer k is accepting 3k -> 3k+1 <-> 3k+2 -> 3k+3: no accepting cycle,
+    # and owcty's fixpoint peels one layer per round, so a closure per round
+    # would cost the square of the layer count
+    edges = []
+    for k in range(layers):
+        edges += [[3 * k + 1], [3 * k + 2], [3 * k + 1] + ([3 * k + 3] if k + 1 < layers else [])]
+    return BuchiAutomaton(3 * layers, 0, frozenset(range(0, 3 * layers, 3)), edges)
+
+
+def fan_into_chain(fan: int, length: int) -> BuchiAutomaton:
+    # accepting 0 -> 1..fan, each of them -> one dead-end chain of length
+    # states, and 0 -> 0 listed last: the only cycle is the self-loop, and
+    # every other successor of 0 leads into the whole chain
+    n = 1 + fan + length
+    edges = [[*range(1, fan + 1), 0]] + [[fan + 1] for _ in range(fan)]
+    edges += [[s + 1] for s in range(fan + 1, n - 1)] + [[]]
+    return BuchiAutomaton(n, 0, frozenset({0}), edges)
+
+
 def finish(search):
     """The result of a lone nested_search, which must end on its first turn."""
     try:
@@ -66,3 +87,34 @@ class ReadCounted(list):
     def __getitem__(self, s):
         self.reads += 1
         return super().__getitem__(s)
+
+
+def bfs_path(aut: BuchiAutomaton, src: int, target: int) -> list[int] | None:
+    """Shortest path src -> target, or None; [src] when src is the target.
+
+    A reference for the program's breadth-first paths that shares none of
+    their code: a bytearray mask, and beside the queue the queue index of
+    each state's parent.  It stops when it enters target.
+    """
+    if src == target:
+        return [src]
+    seen = bytearray(aut.num_states)
+    seen[src] = 1
+    edges = aut.edges
+    queue = [src]
+    parent = [-1]
+    for i, s in enumerate(queue):
+        for t in edges[s]:
+            if seen[t]:
+                continue
+            if t == target:
+                path = [t]
+                while i >= 0:
+                    path.append(queue[i])
+                    i = parent[i]
+                path.reverse()
+                return path
+            seen[t] = 1
+            queue.append(t)
+            parent.append(i)
+    return None

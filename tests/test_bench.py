@@ -8,6 +8,7 @@ import pytest
 
 import cyclone
 import cyclone.bench as bench
+import cyclone.owcty_map
 from cyclone import (
     CSV_HEADER,
     BenchRecord,
@@ -28,6 +29,7 @@ from cyclone import (
     write_csv,
 )
 from cyclone.results import Lasso
+from strategies import onion
 
 
 def test_resolve_generator_specs():
@@ -233,27 +235,25 @@ def test_every_algorithm_stops_at_its_deadline(big):
     assert threading.active_count() == threads
 
 
-def _onion(layers: int) -> BuchiAutomaton:
-    # layer k is accepting 3k -> 3k+1 <-> 3k+2 -> 3k+3: no accepting cycle,
-    # and owcty's fixpoint peels one layer per round, so its work grows
-    # with the square of the layer count
-    edges = []
-    for k in range(layers):
-        edges += [[3 * k + 1], [3 * k + 2], [3 * k + 1] + ([3 * k + 3] if k + 1 < layers else [])]
-    return BuchiAutomaton(3 * layers, 0, frozenset(range(0, 3 * layers, 3)), edges)
-
-
-def test_watchdog_stops_owcty_and_leaves_no_thread():
-    small = execute(_onion(40), "owcty", timeout=0)
+def test_watchdog_stops_owcty_inside_the_fixpoint_and_leaves_no_thread(monkeypatch):
+    a = onion(40)
+    small = execute(a, "owcty", timeout=0)
     assert small.lasso is None
     assert small.stats.extras["owcty_rounds"] == 41  # one more drops the last ring
-    # about 24 million fixpoint pops: seconds of work, against 0.2 s
-    a = _onion(4000)
-    t0 = time.perf_counter()
+    # the propagation's 279 pops stay under its first read of the clock and
+    # the fixpoint reads it twice a round, so read 42 is round 21's second
+    reads = []
+    real = cyclone.owcty_map.check_deadline
+
+    def expiring(deadline):
+        reads.append(deadline)
+        real(time.perf_counter() - 1 if len(reads) == 42 else deadline)
+
+    monkeypatch.setattr(cyclone.owcty_map, "check_deadline", expiring)
     threads = threading.active_count()
-    with pytest.raises(WatchdogTimeout):
-        execute(a, "owcty", timeout=0.2)
-    assert time.perf_counter() - t0 < 2.0
+    with pytest.raises(WatchdogTimeout, match="owcty exceeded 60.0s budget"):
+        execute(a, "owcty", timeout=60)
+    assert len(reads) == 42
     assert threading.active_count() == threads
 
 

@@ -19,7 +19,7 @@ from cyclone import (
     witness_lasso,
 )
 from cyclone.paths import reachable_from
-from strategies import ReadCounted, automata
+from strategies import ReadCounted, automata, fan_into_chain
 
 
 @given(automata(max_states=8))
@@ -71,6 +71,18 @@ def test_decision_stops_at_the_first_accepting_component():
     assert early_edges.reads == 1 + 8 * 500 + 2
 
 
+def test_witness_reads_the_graph_a_bounded_number_of_times():
+    # the decision and the stem's tree read each list once; a walk back
+    # from each of init's 300 other successors would read the 10,000-state
+    # chain 300 times before the cycle walk tried init's self-loop
+    a = fan_into_chain(300, 10_000)
+    counted, edges = _read_counted(a)
+    w = witness_lasso(counted)
+    assert (w.stem, w.cycle) == ((0,), (0,))
+    reads = edges.reads  # a bare assert on edges would print all 10,301 lists
+    assert reads < 3 * a.num_states
+
+
 def test_single_accepting_self_loop():
     a = BuchiAutomaton(1, 0, frozenset({0}), [[0]])
     assert has_accepting_cycle(a)
@@ -108,5 +120,17 @@ def test_validate_lasso_rejects_malformed():
     assert not validate_lasso(a, Lasso((0, 2), (2, 3, 4), 0))  # 0 -> 2 is not an edge
     assert not validate_lasso(a, Lasso((0, 1), (2, 3, 4), 0))  # stem stops one edge short of the cycle
     assert not validate_lasso(a, Lasso((0, 1, 2), (2, 3), 0))  # 3 -> 2 does not close
+    assert not validate_lasso(a, Lasso((0, 1, 2), (2, 4), 0))  # 4 -> 2 closes, but 2 -> 4 is not an edge
     assert not validate_lasso(a, Lasso((0, 1, 2), (2, 3, 4), 1))  # 3 is not accepting
     assert not validate_lasso(a, Lasso((0, 1, 2), (2, 3, 4), 7))  # index out of range
+
+
+def test_validate_lasso_rejects_ids_that_are_not_states():
+    # 0 -> 1 -> 2 -> 3 -> 4 -> 2 with 2 accepting: -1 would read state 4's
+    # list from the end of aut.edges, and that list closes the cycle
+    a = gen_lasso(2, 3, True)
+    assert validate_lasso(a, Lasso((0, 1, 2), (2, 3, 4), 0))
+    assert not validate_lasso(a, Lasso((0, 1, 2), (2, 3, -1), 0))
+    assert not validate_lasso(a, Lasso((0, 1, -3), (-3, 3, 4), 0))  # -3 for 2
+    assert not validate_lasso(a, Lasso((0, 1, 2), (2, 3, 5), 0))
+    assert not validate_lasso(a, Lasso((-5,), (-5,), 0))  # -5 for init
