@@ -26,7 +26,7 @@ _EXPORTS = {
     "nmc": ("nmc_ndfs",),
     "optimistic": ("endfs",),
     "oracle": (
-        "enumerate_accepting_cycle", "has_accepting_cycle", "sccs_from_init", "validate_lasso", "witness_lasso",
+        "has_accepting_cycle", "sccs_from_init", "validate_lasso", "witness_lasso",
     ),
     "owcty_map": ("MapResult", "map_pass", "owcty"),
     "results": ("Lasso", "Verdict", "WatchdogTimeout", "WorkerStats", "WorkStats"),

@@ -265,7 +265,7 @@ class SweepRow:
 
     __slots__ = ("input", "alg", "workers", "runs", "mean_wall_s", "speedup")
 
-    def __init__(self, input: str, alg: str, workers: int, runs: int, mean_wall_s: float, speedup: float):
+    def __init__(self, input: str, alg: str, workers: int, runs: int, mean_wall_s: float, speedup: float | None):
         self.input = input
         self.alg = alg
         self.workers = workers
@@ -282,8 +282,11 @@ def sweep(
     """Run a batch of configurations and aggregate per cell.
 
     Speedup is the single-worker sequential mean over the cell mean on
-    the same input; the baseline cell itself reports exactly 1.0.  With
-    oracle_check every verdict is compared against an SCC decision.
+    the same input; the baseline cell itself reports exactly 1.0.  The
+    baseline is the input's ndfs one-worker cell, else the algorithm's own
+    one-worker cell; a cell with neither, or with a mean of 0, has no
+    speedup (None, an empty field in the CSV).  With oracle_check every
+    verdict is compared against an SCC decision.
     """
     records: list[BenchRecord] = []
     oracle: dict[str, bool] = {}
@@ -318,7 +321,7 @@ def sweep(
         elif base_key in means and means[(inp, alg, workers)] > 0:
             speedup = means[base_key] / means[(inp, alg, workers)]
         else:
-            speedup = float("nan")
+            speedup = None
         aggregates.append(SweepRow(inp, alg, workers, len(rows), means[(inp, alg, workers)], speedup))
     return records, aggregates
 
@@ -340,4 +343,5 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
         fh.write("input,alg,workers,runs,mean_wall_s,speedup\n")
         w = csv.writer(fh, lineterminator="\n")
         for r in rows:
-            w.writerow([r.input, r.alg, r.workers, r.runs, f"{r.mean_wall_s:.6f}", f"{r.speedup:.4f}"])
+            w.writerow([r.input, r.alg, r.workers, r.runs, f"{r.mean_wall_s:.6f}",
+                        "" if r.speedup is None else f"{r.speedup:.4f}"])

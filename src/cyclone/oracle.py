@@ -144,35 +144,3 @@ def validate_lasso(aut: BuchiAutomaton, lasso: Lasso) -> bool:
         return False
     return bool(aut.accept_mask[cycle[lasso.accept_index]])
 
-
-def enumerate_accepting_cycle(aut: BuchiAutomaton, max_states: int = 8) -> bool:
-    """Second, independent oracle for tiny graphs: brute-force cycle search.
-
-    Enumerates simple paths from every reachable accepting state and asks
-    whether any returns to its origin.  Exponential, so it refuses graphs
-    larger than max_states; use it to cross-check the SCC decision.
-    """
-    if aut.num_states > max_states:
-        raise ValueError(f"brute-force oracle only handles <= {max_states} states")
-    reachable = {aut.init}
-    frontier = [aut.init]
-    while frontier:
-        s = frontier.pop()
-        for t in aut.edges[s]:
-            if t not in reachable:
-                reachable.add(t)
-                frontier.append(t)
-
-    def closes(origin: int, s: int, seen: frozenset[int]) -> bool:
-        for t in aut.edges[s]:
-            if t == origin:
-                return True
-            if t not in seen and closes(origin, t, seen | {t}):
-                return True
-        return False
-
-    return any(
-        closes(a, a, frozenset({a}))
-        for a in sorted(aut.accepting)
-        if a in reachable
-    )

@@ -33,33 +33,38 @@ one.
 
 The search is a generator, and race drives the workers' searches in
 turns in one thread.  A racing search (one with siblings or under a
-deadline) yields every 64 steps, blue or red; any search yields while it
-waits for sibling red searches to drain an accept counter, and runs a
-repair with yield from, so the repair's own turns pass through.  Between
-yields a worker runs alone, so no step sees a sibling's step half done
-and a run repeats exactly.  A run ends by closing the searches still
-live, which unwinds each at the yield where it waits; the search itself
-reads no stop flag.
+deadline) yields every 64 successor reads, blue or red; any search
+yields while it waits for sibling red searches to drain an accept
+counter, and runs a repair with yield from, so the repair's own turns
+pass through.  Between yields a worker runs alone, so no step sees a
+sibling's step half done and a run repeats exactly.  A run ends by
+closing the searches still live, which unwinds each at the yield where
+it waits; the search itself reads no stop flag.
 
 Three costs stay off the hot path.  A search counts steps toward a yield
 only when race says it is racing; a lone worker with no deadline reads
-nothing but its own frames and finishes in one turn.  Each frame
-holds an iterator over its successors, picked once when the state is pushed, so
-a step is one next() call: a list iterator, or under the fresh-successor
-bias (--heuristic, prefer successors no worker has visited yet) a
-generator that consumes a copy of the list.  A list of zero or one
-successors has nothing to reorder, so it is iterated straight from the
-automaton without a hash or a copy, as is every list of a canonical
-search without the bias.  And a permuted search hashes and permutes a
-list only when at least two of its successors are live when the state
-is pushed, that is, can still change the search.  A successor is live
-when it is cyan, or neither colored dead nor set in the plane that stops
-the search.  In blue that plane is the blocking one and dead is
-LOCAL_BLUE, or no color at all under allred, whose check reads each
-successor as it is iterated.  In red the plane is the blocking one under
-allred and RED otherwise, and dead is PINK; the optimistic searches
-color nothing pink, so there live means white and unblocked in blue and
-not red in red.
+nothing but its own frames and finishes in one turn.  Each frame holds
+an iterator over its successors, picked once when the state is pushed: a
+list iterator, or under the fresh-successor bias (--heuristic, prefer
+successors no worker has visited yet) a generator that consumes a copy
+of the list.  A for loop reads the top frame's iterator: a step that
+pushes a state breaks back to the loop over the stack, and the loop's
+else backtracks, so a step that pushes nothing costs no call.  A racing
+search ticks once per successor read, the read that finds the list
+exhausted included, before the frame's first read and at the end of each
+step that pushes nothing; so each yield falls just before a read, under
+the bias before its pick.  A list of zero or one successors has nothing
+to reorder, so it is iterated straight from the automaton without a hash
+or a copy, as is every list of a canonical search without the bias.  And
+a permuted search hashes and permutes a list only when at least two of
+its successors are live when the state is pushed, that is, can still
+change the search.  A successor is live when it is cyan, or neither
+colored dead nor set in the plane that stops the search.  In blue that
+plane is the blocking one and dead is LOCAL_BLUE, or no color at all
+under allred, whose check reads each successor as it is iterated.  In
+red the plane is the blocking one under allred and RED otherwise, and
+dead is PINK; the optimistic searches color nothing pink, so there live
+means white and unblocked in blue and not red in red.
 
 Otherwise the list is searched in canonical order, with the same result
 as the permuted one.  Flag planes only gain flags and colors are
@@ -163,7 +168,7 @@ def nested_search(
     canonical order.  visited is the shared discovery bitset for the
     fresh-successor bias, seen an optional bitset recording every state
     this call enters.  racing says the search takes turns under race, so
-    it yields every 64 steps.
+    it yields every 64 successor reads.
     repair(stem) is a generator like this one that re-examines the
     dangerous root at the end of stem, the blue stack from the initial
     state, and returns a Lasso, or None when the root is clean.  A call
@@ -220,14 +225,15 @@ def nested_search(
         maxd = max(maxd, 1)
         tick = 0
         while frames:
+            f = frames[-1]
+            s = f[0]
+            # a tick per successor read: here before the frame's first, and
+            # after each step that pushes nothing, before the next
             if racing:
                 tick += 1
                 if not tick & 63:
                     yield  # the other workers' turn, or race's deadline check
-            f = frames[-1]
-            t = next(f[1], -1)
-            if t >= 0:
-                s = f[0]
+            for t in f[1]:
                 c = colors[t]
                 if c == CYAN and (amask[s] or amask[t]):
                     # early detection: the blue stack from t to s is a cycle
@@ -245,117 +251,128 @@ def nested_search(
                     frames.append([t, iter(succ), True])
                     if len(frames) > maxd:
                         maxd = len(frames)
-                elif allred and not blk[t]:
+                    break
+                if allred and not blk[t]:
                     f[2] = False
-                continue
-
-            # successors exhausted: backtrack s
-            s = f[0]
-            colors[s] = LOCAL_BLUE
-            if allred:
-                if f[2]:  # every successor came back blocked
-                    blk[s] = 1
-                elif amask[s]:
-                    # counter-protected red search, rooted at s
-                    if shared:
-                        store.counter_adjust(s, 1)
-                    colors[s] = PINK
-                    red_exp += 1
-                    succ = post[s]
-                    if len(succ) >= cut:
-                        succ = _order(s, succ, key_red, colors, stop_red, PINK, visited)
-                    rframes = [[s, iter(succ)]]
-                    while rframes:
-                        if racing:
-                            tick += 1
-                            if not tick & 63:
-                                yield
-                        rf = rframes[-1]
-                        t = next(rf[1], -1)
-                        if t < 0:
-                            rframes.pop()
-                            u = rf[0]
-                            if shared and amask[u] and store.counter_adjust(u, -1) != 0:
-                                waits += 1
-                                while store.counter_value(u):
-                                    yield  # sibling red searches rooted at u
-                            blk[u] = 1
-                            continue
-                        c = colors[t]
-                        if c == CYAN:
-                            # cycle: blue stack t..s, red stack s..current, edge back to t
-                            return _splice(stem, frames, rframes, t, amask)
-                        if c != PINK and not blk[t]:
-                            assert not amask[t], "red search reached an unprocessed accepting state"
-                            colors[t] = PINK
-                            red_exp += 1
-                            if seen is not None:
-                                seen[t] = 1
-                            succ = post[t]
-                            if len(succ) >= cut:
-                                succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)
-                            rframes.append([t, iter(succ)])
-                            d = len(frames) + len(rframes)
-                            if d > maxd:
-                                maxd = d
-                if len(frames) > 1 and not blk[s]:
-                    frames[-2][2] = False  # the parent's allred conjunction
+                if racing:
+                    tick += 1
+                    if not tick & 63:
+                        yield
             else:
-                if shared:
-                    blk[s] = 1
-                if amask[s]:
-                    # optimistic red search; candidates collected for promotion
-                    cand = [s] if shared else None
-                    pink[s] = 1
-                    red_exp += 1
-                    succ = post[s]
-                    if len(succ) >= cut:
-                        succ = _order(s, succ, key_red, colors, stop_red, PINK, visited)
-                    rframes = [[s, iter(succ)]]
-                    while rframes:
-                        if racing:
-                            tick += 1
-                            if not tick & 63:
-                                yield
-                        rf = rframes[-1]
-                        t = next(rf[1], -1)
-                        if t < 0:
-                            rframes.pop()
-                            continue
-                        if colors[t] == CYAN:
-                            return _splice(stem, frames, rframes, t, amask)
-                        if not red[t]:
-                            if amask[t]:
-                                # met an uncleared accepting state: poison it.
-                                # Alone, post order has cleared every one.  The
-                                # count is exact: one worker runs between yields.
-                                assert shared, "red search reached an unprocessed accepting state"
-                                if not dng[t]:
-                                    dng[t] = 1
-                                    dangerous += 1
-                            if not pink[t]:
-                                pink[t] = 1
-                                if shared:
-                                    cand.append(t)
-                                red_exp += 1
-                                if seen is not None:
-                                    seen[t] = 1
-                                succ = post[t]
-                                if len(succ) >= cut:
-                                    succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)
-                                rframes.append([t, iter(succ)])
-                                d = len(frames) + len(rframes)
-                                if d > maxd:
-                                    maxd = d
+                # successors exhausted: backtrack s
+                colors[s] = LOCAL_BLUE
+                if allred:
+                    if f[2]:  # every successor came back blocked
+                        blk[s] = 1
+                    elif amask[s]:
+                        # counter-protected red search, rooted at s
+                        if shared:
+                            store.counter_adjust(s, 1)
+                        colors[s] = PINK
+                        red_exp += 1
+                        succ = post[s]
+                        if len(succ) >= cut:
+                            succ = _order(s, succ, key_red, colors, stop_red, PINK, visited)
+                        rframes = [[s, iter(succ)]]
+                        while rframes:
+                            rf = rframes[-1]
+                            if racing:
+                                tick += 1
+                                if not tick & 63:
+                                    yield
+                            for t in rf[1]:
+                                c = colors[t]
+                                if c == CYAN:
+                                    # cycle: blue stack t..s, red stack s..current, edge back to t
+                                    return _splice(stem, frames, rframes, t, amask)
+                                if c != PINK and not blk[t]:
+                                    assert not amask[t], "red search reached an unprocessed accepting state"
+                                    colors[t] = PINK
+                                    red_exp += 1
+                                    if seen is not None:
+                                        seen[t] = 1
+                                    succ = post[t]
+                                    if len(succ) >= cut:
+                                        succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)
+                                    rframes.append([t, iter(succ)])
+                                    d = len(frames) + len(rframes)
+                                    if d > maxd:
+                                        maxd = d
+                                    break
+                                if racing:
+                                    tick += 1
+                                    if not tick & 63:
+                                        yield
+                            else:
+                                rframes.pop()
+                                u = rf[0]
+                                if shared and amask[u] and store.counter_adjust(u, -1) != 0:
+                                    waits += 1
+                                    while store.counter_value(u):
+                                        yield  # sibling red searches rooted at u
+                                blk[u] = 1
+                    if len(frames) > 1 and not blk[s]:
+                        frames[-2][2] = False  # the parent's allred conjunction
+                else:
                     if shared:
-                        for r in cand:
-                            if r == s or not dng[r]:
-                                red[r] = 1
-                        if dng[s]:
-                            res = yield from repair(tuple(fr[0] for fr in frames))
-                            if res is not None:
-                                return res
-            frames.pop()
+                        blk[s] = 1
+                    if amask[s]:
+                        # optimistic red search; candidates collected for promotion
+                        cand = [s] if shared else None
+                        pink[s] = 1
+                        red_exp += 1
+                        succ = post[s]
+                        if len(succ) >= cut:
+                            succ = _order(s, succ, key_red, colors, stop_red, PINK, visited)
+                        rframes = [[s, iter(succ)]]
+                        while rframes:
+                            rf = rframes[-1]
+                            if racing:
+                                tick += 1
+                                if not tick & 63:
+                                    yield
+                            for t in rf[1]:
+                                if colors[t] == CYAN:
+                                    return _splice(stem, frames, rframes, t, amask)
+                                if not red[t]:
+                                    if amask[t]:
+                                        # met an uncleared accepting state: poison it.
+                                        # Alone, post order has cleared every one.  The
+                                        # count is exact: one worker runs between yields.
+                                        assert shared, "red search reached an unprocessed accepting state"
+                                        if not dng[t]:
+                                            dng[t] = 1
+                                            dangerous += 1
+                                    if not pink[t]:
+                                        pink[t] = 1
+                                        if shared:
+                                            cand.append(t)
+                                        red_exp += 1
+                                        if seen is not None:
+                                            seen[t] = 1
+                                        succ = post[t]
+                                        if len(succ) >= cut:
+                                            succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)
+                                        rframes.append([t, iter(succ)])
+                                        d = len(frames) + len(rframes)
+                                        if d > maxd:
+                                            maxd = d
+                                        break
+                                if racing:
+                                    tick += 1
+                                    if not tick & 63:
+                                        yield
+                            else:
+                                rframes.pop()
+                        if shared:
+                            for r in cand:
+                                if r == s or not dng[r]:
+                                    red[r] = 1
+                            if dng[s]:
+                                res = yield from repair(tuple(fr[0] for fr in frames))
+                                if res is not None:
+                                    return res
+                frames.pop()
         return None
     finally:
         if rooted:

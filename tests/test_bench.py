@@ -346,3 +346,19 @@ def test_sweep_falls_back_to_same_algorithm_baseline():
     records, rows = sweep([RunConfig("owcty", "lasso:2:3:acc", repeats=2)], timeout=0)
     assert len(rows) == 1
     assert rows[0].speedup == 1.0
+
+
+def test_sweep_gives_no_speedup_without_a_baseline_or_for_a_zero_mean(monkeypatch):
+    # two-worker swarm alone: no ndfs cell and no one-worker swarm cell
+    _, (row,) = sweep([RunConfig("swarm", "lasso:2:3:acc", workers=2)], timeout=0)
+    assert row.speedup is None
+
+    def instant(aut, **options):
+        return Verdict(None, WorkStats([WorkerStats(), WorkerStats()], 0.0))
+
+    monkeypatch.setattr(cyclone, "swarm_ndfs", instant)
+    _, rows = sweep([RunConfig("ndfs", "lasso:2:3:acc"), RunConfig("swarm", "lasso:2:3:acc", workers=2)], timeout=0)
+    by_key = {(r.alg, r.workers): r for r in rows}
+    assert by_key[("ndfs", 1)].speedup == 1.0
+    assert by_key[("swarm", 2)].mean_wall_s == 0
+    assert by_key[("swarm", 2)].speedup is None

@@ -161,6 +161,19 @@ def test_bench_writes_records_and_aggregates(tmp_path, capsys):
     assert agg.read_text().splitlines()[0] == "input,alg,workers,runs,mean_wall_s,speedup"
 
 
+def test_bench_leaves_speedup_empty_for_a_cell_without_a_baseline(tmp_path, capsys):
+    agg = tmp_path / "agg.csv"
+    code = cli.main(["bench", "lasso:2:3:acc", "--algs", "swarm", "--workers", "2",
+                     "-o", str(tmp_path / "rec.csv"), "--aggregate", str(agg)])
+    assert code == 0
+    header, row = agg.read_text().splitlines()
+    assert header == "input,alg,workers,runs,mean_wall_s,speedup"
+    cells = row.split(",")
+    assert cells[:3] == ["lasso:2:3:acc", "swarm", "2"]
+    assert float(cells[4]) > 0
+    assert cells[5] == ""
+
+
 def test_dist_reads_bench_csv_and_plain_files(tmp_path, capsys):
     rec = tmp_path / "rec.csv"
     assert cli.main(["bench", "lasso:2:3:acc", "--algs", "ndfs", "--repeats", "3",

@@ -13,6 +13,8 @@ that skip it are the same: lasso, blue and red counts, stack depth.
 import hashlib
 import random
 
+import pytest
+
 from cyclone import (
     BuchiAutomaton,
     ColorStore,
@@ -24,7 +26,7 @@ from cyclone import (
     worker_keys,
 )
 import cyclone.search
-from cyclone.colors import BLUE, RED, WHITE
+from cyclone.colors import BLUE, PINK, RED, WHITE
 from cyclone.search import nested_search
 from strategies import finish
 
@@ -242,3 +244,34 @@ def test_permute_skips_lists_with_at_most_one_live_successor(monkeypatch):
     expanded += sum(multi[s] for s in range(a.num_states) if red[s])
     assert expanded > 1000
     assert calls[0] < expanded / 2
+
+
+def _drive(search):
+    """Run a racing search to its end: its result and how often it yielded."""
+    yields = 0
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value, yields
+        yields += 1
+
+
+@pytest.mark.parametrize("allred", [False, True])
+@pytest.mark.parametrize("k", [0, 4])
+def test_a_racing_search_yields_once_per_64_successor_reads(k, allred):
+    # The engine's yield rule: a racing search ticks once per successor
+    # read, the read that finds a list exhausted included, and yields on
+    # every 64th tick, before that read.  Entering a state reads its list
+    # and one exhausted read, once in blue and once more if red enters it.
+    a = _graph(k)  # no accepting cycle: every list entered is read to its end
+    colors, block = bytearray(a.num_states), bytearray(a.num_states)
+    ws = WorkerStats()
+    res, yields = _drive(nested_search(a, ws, block=block, colors=colors, allred=allred, racing=True))
+    assert res is None
+    blue = [s for s in range(a.num_states) if colors[s] != WHITE]
+    # a private search marks red in its block plane; allred colors it pink
+    red = [s for s in range(a.num_states) if (colors[s] == PINK if allred else block[s])]
+    assert (len(blue), len(red)) == (ws.blue_expansions, ws.red_expansions)
+    reads = sum(len(a.edges[s]) + 1 for s in blue + red)
+    assert yields == reads // 64 > 0
