@@ -19,8 +19,7 @@ _EXPORTS = {
     ),
     "bench": (
         "ALGORITHM_TABLE", "CSV_HEADER", "BenchRecord", "InputNotFound", "InvalidConfig", "RunConfig",
-        "SweepRow", "VerdictCorrupt", "execute", "resolve_input", "run", "sweep", "write_csv",
-        "write_sweep_csv",
+        "SweepRow", "VerdictCorrupt", "execute", "resolve_input", "sweep", "write_csv", "write_sweep_csv",
     ),
     "colors": ("ColorStore", "UnderflowFault"),
     "nmc": ("nmc_ndfs",),

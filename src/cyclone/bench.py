@@ -245,21 +245,6 @@ def execute(
     return v
 
 
-def run(cfg: RunConfig, aut: BuchiAutomaton | None = None, timeout: float | None = None) -> list[BenchRecord]:
-    """Execute a configuration repeats times, bumping the seed each time."""
-    if aut is None:
-        aut = resolve_input(cfg.input)
-    out = []
-    for k in range(cfg.repeats):
-        seed = cfg.seed + k
-        try:
-            v = execute(aut, cfg.algorithm, cfg.workers, seed, cfg.heuristic, cfg.allred, timeout=timeout)
-        except VerdictCorrupt as e:
-            raise VerdictCorrupt(f"{e} on {cfg.input}") from None
-        out.append(BenchRecord(cfg, k, seed, v))
-    return out
-
-
 class SweepRow:
     """Aggregate over the repeats of one (input, algorithm, workers) cell."""
 
@@ -281,12 +266,14 @@ def sweep(
 ) -> tuple[list[BenchRecord], list[SweepRow]]:
     """Run a batch of configurations and aggregate per cell.
 
-    Speedup is the single-worker sequential mean over the cell mean on
-    the same input; the baseline cell itself reports exactly 1.0.  The
-    baseline is the input's ndfs one-worker cell, else the algorithm's own
-    one-worker cell; a cell with neither, or with a mean of 0, has no
-    speedup (None, an empty field in the CSV).  With oracle_check every
-    verdict is compared against an SCC decision.
+    Each configuration runs repeats times, with seed cfg.seed + k on
+    repeat k; a lasso that fails validation raises VerdictCorrupt naming
+    the input.  Speedup is the single-worker sequential mean over the
+    cell mean on the same input; the baseline cell itself reports exactly
+    1.0.  The baseline is the input's ndfs one-worker cell, else the
+    algorithm's own one-worker cell; a cell with neither, or with a mean
+    of 0, has no speedup (None, an empty field in the CSV).  With
+    oracle_check every verdict is compared against an SCC decision.
     """
     records: list[BenchRecord] = []
     oracle: dict[str, bool] = {}
@@ -297,14 +284,16 @@ def sweep(
             aut = auts[cfg.input] = resolve_input(cfg.input)
         if oracle_check and cfg.input not in oracle:
             oracle[cfg.input] = has_accepting_cycle(aut)
-        rows = run(cfg, aut=aut, timeout=timeout)
-        if oracle_check:
-            for r in rows:
-                if (r.verdict == "CYCLE") != oracle[cfg.input]:
-                    raise VerdictCorrupt(
-                        f"{cfg.algorithm} disagrees with the SCC oracle on {cfg.input}"
-                    )
-        records.extend(rows)
+        for k in range(cfg.repeats):
+            seed = cfg.seed + k
+            try:
+                v = execute(aut, cfg.algorithm, cfg.workers, seed, cfg.heuristic, cfg.allred, timeout=timeout)
+            except VerdictCorrupt as e:
+                raise VerdictCorrupt(f"{e} on {cfg.input}") from None
+            r = BenchRecord(cfg, k, seed, v)
+            if oracle_check and (r.verdict == "CYCLE") != oracle[cfg.input]:
+                raise VerdictCorrupt(f"{cfg.algorithm} disagrees with the SCC oracle on {cfg.input}")
+            records.append(r)
 
     cells: dict[tuple, list[BenchRecord]] = {}
     for r in records:

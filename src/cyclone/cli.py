@@ -30,7 +30,6 @@ from .bench import (
     WatchdogTimeout,
     execute,
     resolve_input,
-    run,
     sweep,
     write_csv,
     write_sweep_csv,
@@ -197,7 +196,7 @@ def _cmd_dist(args) -> int:
         raise _UsageError(f"swarm sizes must be >= 1, got {args.ns}")
     try:
         rows = [(n, dist.expected_min(n), dist.min_stddev(n), dist.speedup(n)) for n in ns]
-    except ZeroTime as e:  # every sample is zero
+    except ZeroTime as e:  # the expected minimum at some N is zero
         raise _FileError(e) from e
     # g-style: a sample of 1e200 or of 1e-9 prints in a few digits
     for n, em, sd, sp in rows:

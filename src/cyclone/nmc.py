@@ -63,7 +63,6 @@ def nmc_ndfs(
     if store is None:
         store = ColorStore(aut.num_states, aut.accepting)
     blue, safe = store.plane(BLUE), store.plane(SAFE)
-    repair_seen = bytearray(aut.num_states)
     tasks: dict[int, _RepairTask] = {}
     mains_done = 0
 
@@ -72,7 +71,7 @@ def nmc_ndfs(
         return nested_search(
             aut, ws, store=store, block=safe, allred=True,
             keys=worker_keys(task.joiners - 1, seed ^ (task.root * 0x1000193)),
-            seen=repair_seen, stem=task.stem, racing=racing,
+            stem=task.stem, racing=racing,
         )
 
     def body(w, ws, racing):
@@ -109,5 +108,4 @@ def nmc_ndfs(
 
     v = race(n_workers, body, deadline)
     v.stats.extras["dangerous_count"] = sum(s.dangerous_marks for s in v.stats.workers)
-    v.stats.extras["repair_states"] = sum(repair_seen)
     return v

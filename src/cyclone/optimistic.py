@@ -33,15 +33,13 @@ def endfs(
 ) -> Verdict:
     """Shared-blue/shared-red optimistic detector with sequential repair.
 
-    Verdict extras carry dangerous_count (states ever marked dangerous)
-    and repair_states (distinct states the repair stage ever entered).
+    Verdict extras carry dangerous_count (states ever marked dangerous).
     A run still going at deadline raises WatchdogTimeout.
     """
     if store is None:
         store = ColorStore(aut.num_states, aut.accepting)
     n = aut.num_states
     blue = store.plane(BLUE)
-    repair_seen = bytearray(n)
 
     def body(w, ws, racing):
         # repair arrays persist across this worker's repairs: the whole
@@ -52,7 +50,7 @@ def endfs(
         def repair(stem: tuple[int, ...]):
             return nested_search(
                 aut, ws, block=repair_block, colors=repair_colors,
-                keys=repair_keys, seen=repair_seen, stem=stem, racing=racing,
+                keys=repair_keys, stem=stem, racing=racing,
             )
 
         keys = None if w == 0 else worker_keys(w, seed)
@@ -60,5 +58,4 @@ def endfs(
 
     v = race(n_workers, body, deadline)
     v.stats.extras["dangerous_count"] = sum(s.dangerous_marks for s in v.stats.workers)
-    v.stats.extras["repair_states"] = sum(repair_seen)
     return v

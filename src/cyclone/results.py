@@ -84,7 +84,7 @@ class WorkStats:
         self.workers = workers
         self.wall_time = wall_time
         # Algorithm-specific scalars, set after the run: dangerous_count,
-        # repair_states, owcty_rounds, map_hits.  Absent keys mean zero.
+        # owcty_rounds, map_hits.  Absent keys mean zero.
         self.extras: dict[str, int] = {}
 
     @property

@@ -150,7 +150,6 @@ def nested_search(
     colors: bytearray | None = None,
     keys: tuple[int, int] | None = None,
     visited: bytearray | None = None,
-    seen: bytearray | None = None,
     stem: tuple[int, ...] = (),
     racing: bool = False,
     repair=None,
@@ -166,9 +165,8 @@ def nested_search(
     allred picks the counter-protected red search over the optimistic
     one.  keys is a (blue, red) pair from worker_keys, or None for
     canonical order.  visited is the shared discovery bitset for the
-    fresh-successor bias, seen an optional bitset recording every state
-    this call enters.  racing says the search takes turns under race, so
-    it yields every 64 successor reads.
+    fresh-successor bias.  racing says the search takes turns under race,
+    so it yields every 64 successor reads.
     repair(stem) is a generator like this one that re-examines the
     dangerous root at the end of stem, the blue stack from the initial
     state, and returns a Lasso, or None when the root is clean.  A call
@@ -214,8 +212,6 @@ def nested_search(
         blue_exp += 1
         if visited is not None:
             visited[root] = 1
-        if seen is not None:
-            seen[root] = 1
         # blue frame: [state, successor iterator, every successor came back
         # blocked]; red frame: [state, successor iterator]
         succ = post[root]
@@ -243,8 +239,6 @@ def nested_search(
                     blue_exp += 1
                     if visited is not None:
                         visited[t] = 1
-                    if seen is not None:
-                        seen[t] = 1
                     succ = post[t]
                     if len(succ) >= cut:
                         succ = _order(t, succ, key_blue, colors, blk, dead_blue, visited)
@@ -289,8 +283,6 @@ def nested_search(
                                     assert not amask[t], "red search reached an unprocessed accepting state"
                                     colors[t] = PINK
                                     red_exp += 1
-                                    if seen is not None:
-                                        seen[t] = 1
                                     succ = post[t]
                                     if len(succ) >= cut:
                                         succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)
@@ -348,8 +340,6 @@ def nested_search(
                                         if shared:
                                             cand.append(t)
                                         red_exp += 1
-                                        if seen is not None:
-                                            seen[t] = 1
                                         succ = post[t]
                                         if len(succ) >= cut:
                                             succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)

@@ -85,9 +85,12 @@ class EmpiricalDistribution:
         sit near zero, so no upper check is made here.
         """
         top = self.samples[-1]
-        if top == 0.0:
-            raise ZeroTime("expected minimum is zero")
         # scaled to the largest sample: a weighted sum of subnormal samples
         # can round to zero and turn the ratio into 0 or a division by zero
-        scaled = EmpiricalDistribution(tuple(t / top for t in self.samples))
-        return scaled.expected_min(1) / scaled.expected_min(n)
+        scaled = EmpiricalDistribution(tuple(t / top for t in self.samples)) if top else self
+        low = scaled.expected_min(n)
+        if low == 0.0:
+            # every sample is zero, or the weight of every nonzero one
+            # underflows among n draws (samples 0 0 0 0 1 at n = 500)
+            raise ZeroTime(f"expected minimum is zero at N={n}")
+        return scaled.expected_min(1) / low

@@ -52,6 +52,8 @@ def test_parse_skips_comments_and_blanks():
         ("", MalformedHeader, 1),
         ("init 0\nstates 2\naccepting\n", MalformedHeader, 1),
         ("states 0\ninit 0\naccepting\n", MalformedHeader, 1),
+        # a valid header and nothing after it: "missing 'init I' line"
+        ("states 3\n", MalformedHeader, 1),
         ("states 2\ninit -1\naccepting\n", MalformedHeader, 2),
         ("states 2\ninit 5\naccepting\n", DanglingStateId, 2),
         ("states 2\ninit 0\naccepting 3\n", DanglingStateId, 3),

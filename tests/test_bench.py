@@ -24,7 +24,6 @@ from cyclone import (
     execute,
     gen_lasso,
     resolve_input,
-    run,
     sweep,
     write_csv,
 )
@@ -106,13 +105,13 @@ def test_execute_enforces_the_algorithm_table():
 
 
 def test_comparator_ignores_worker_count():
-    records = run(RunConfig("owcty", "lasso:2:3:noacc", workers=8, repeats=1), timeout=0)
+    records = sweep([RunConfig("owcty", "lasso:2:3:noacc", workers=8, repeats=1)], timeout=0)[0]
     assert records[0].verdict == "NO-CYCLE"
     assert records[0].owcty_rounds >= 1
 
 
 def test_csv_header_and_rows(tmp_path):
-    records = run(RunConfig("ndfs", "lasso:2:3:acc", repeats=3), timeout=0)
+    records = sweep([RunConfig("ndfs", "lasso:2:3:acc", repeats=3)], timeout=0)[0]
     out = tmp_path / "r.csv"
     write_csv(records, out)
     lines = out.read_text().splitlines()
@@ -142,14 +141,23 @@ def test_a_record_is_one_row_under_the_header():
     assert r.to_row() == ["x", "owcty", 1, 0, 0, "NO-CYCLE", "0.000000", 0, 0, 0, 0, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("spec", ["lasso:2:3:acc", "lasso:2:3:noacc"])
+def test_every_extra_a_detector_sets_is_a_csv_column(spec):
+    # a figure a run records but no column exports is work nothing reads
+    a = resolve_input(spec)
+    for alg, row in bench.ALGORITHM_TABLE.items():
+        v = execute(a, alg, 2 if row.parallel else 1, timeout=0)
+        assert set(v.stats.extras) <= set(bench._COLUMNS), alg
+
+
 def test_repeats_bump_the_seed():
-    records = run(RunConfig("swarm", "lasso:2:3:acc", seed=10, repeats=4), timeout=0)
+    records = sweep([RunConfig("swarm", "lasso:2:3:acc", seed=10, repeats=4)], timeout=0)[0]
     assert [r.seed for r in records] == [10, 11, 12, 13]
     assert [r.repeat for r in records] == [0, 1, 2, 3]
 
 
 def test_trivial_lasso_repeats_both_find_the_cycle():
-    records = run(RunConfig("ndfs", "lasso:0:1:acc", repeats=2), timeout=0)
+    records = sweep([RunConfig("ndfs", "lasso:0:1:acc", repeats=2)], timeout=0)[0]
     assert [r.verdict for r in records] == ["CYCLE", "CYCLE"]
 
 
@@ -158,7 +166,7 @@ def test_parallel_repeats_agree_with_the_oracle():
 
     a = resolve_input("random:200:2:0.2:9")
     want = "CYCLE" if has_accepting_cycle(a) else "NO-CYCLE"
-    records = run(RunConfig("lndfs", "random:200:2:0.2:9", workers=4, repeats=5), timeout=0)
+    records = sweep([RunConfig("lndfs", "random:200:2:0.2:9", workers=4, repeats=5)], timeout=0)[0]
     assert len(records) == 5
     assert all(r.verdict == want for r in records)
 
@@ -317,7 +325,7 @@ def test_invalid_lasso_is_reported_not_recorded(monkeypatch):
 
     monkeypatch.setattr(cyclone, "ndfs", liar)
     with pytest.raises(VerdictCorrupt, match="invalid lasso on lasso:2:3:acc"):
-        run(RunConfig("ndfs", "lasso:2:3:acc"), timeout=0)
+        sweep([RunConfig("ndfs", "lasso:2:3:acc")], timeout=0)[0]
 
 
 def test_sweep_oracle_check_catches_wrong_verdicts(monkeypatch):

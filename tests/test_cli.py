@@ -270,6 +270,8 @@ def test_dist_prints_huge_and_tiny_figures_in_few_digits(tmp_path, capsys, text,
     ("2.0\n4.0\n", "0", "swarm sizes must be >= 1"),
     ("2.0\n4.0\n", ",", "need at least one swarm size"),
     ("0\n0.0\n", "1,2", "error: expected minimum is zero"),
+    # nonzero samples, but the expected minimum underflows at N=500
+    ("0 0 0 0 1\n", "1,500", "error: expected minimum is zero at N=500"),
 ])
 def test_dist_rejects_bad_samples_and_sizes(tmp_path, capsys, text, ns, message):
     raw = tmp_path / "times.txt"

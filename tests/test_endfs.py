@@ -25,7 +25,6 @@ def test_single_worker_never_repairs():
         a = gen_random(70, 2.0, 0.2, seed)
         v = endfs(a, 1, seed)
         assert v.stats.extras["dangerous_count"] == 0
-        assert v.stats.extras["repair_states"] == 0
         assert v.stats.repair_expansions == 0
         assert v.cycle_found == ndfs(a).cycle_found
 
@@ -73,7 +72,7 @@ def test_store_ends_fully_settled_when_no_cycle():
 
 def test_extras_always_present():
     v = endfs(gen_lasso(1, 2, True), 2, 0)
-    assert set(v.stats.extras) >= {"dangerous_count", "repair_states"}
+    assert set(v.stats.extras) >= {"dangerous_count"}
     assert v.stats.extras["dangerous_count"] >= 0
 
 

@@ -13,7 +13,9 @@ dangerous marks and repairs, in every detector that has them.
 A second test pins every run of every table algorithm on the same graphs,
 at 1-4 workers and seeds 0-2, to sha256 digests taken at commit 22476c1,
 before the repairs became plain rooted engine calls and the blue and red
-order functions became one; both changes keep every digest.
+order functions became one; both changes keep every digest.  The endfs
+and nmc rows were re-derived once, when their count of repair-entered
+states left the extras (see FROZEN_GRID).
 
 The turns interleave whole steps only: between two yields one worker
 has the ColorStore to itself, which is the store's one-thread contract.
@@ -105,7 +107,10 @@ def test_sweep_is_sound_bounded_repeatable_and_shares_work():
 
 
 # sha256 per (algorithm, workers) of every run of the grid below, taken at
-# commit 22476c1 (see the module docstring)
+# commit 22476c1 (see the module docstring).  The endfs and nmc rows were
+# re-derived at commit 84165f2, with the count of repair-entered states, an
+# extra since dropped, filtered out of the hashed extras; every other row
+# is as taken.
 FROZEN_GRID = {
     ("ndfs", 1): "6771e44e6578dc920611762212519f70705e45e034a83dd66f13f8edc683aba5",
     ("swarm", 1): "bdc0a1c6da10f3381d56b11007128e8fdcb91062b454517e106de6857ec562ad",
@@ -116,14 +121,14 @@ FROZEN_GRID = {
     ("lndfs", 2): "ab519177ea1f6deaf4f971b73e8bd55ae0797a1dfebb236841424224d8f4711c",
     ("lndfs", 3): "d6eb4bdec36ac96cd72d59bdcaa7ae8a8d8ca0991d41c06794a10654dbaae2be",
     ("lndfs", 4): "b432d1b527b457f56e882cbf6ce93cab79a5c8d2d4a9bedfa0d996538b2c0737",
-    ("endfs", 1): "4c933e41574e621185c97a601f39f5dc41979a2cf17eaa6732186d04cc6c6bfe",
-    ("endfs", 2): "cc4f8331d154e14b75afc6e38183f4de060042bc3913121da4d3b12b09197ff2",
-    ("endfs", 3): "65e2a226ebd6253a094a5e635ac1c6f6bffc6f767fb4142c8ab0de35ecd98343",
-    ("endfs", 4): "75c6fb1340ade0f250631bdd56234d1eed0c07f97c54a1947f6d16e663b36597",
-    ("nmc", 1): "4c933e41574e621185c97a601f39f5dc41979a2cf17eaa6732186d04cc6c6bfe",
-    ("nmc", 2): "779f4c98f29fb42185957b3fc673c71d55e9c0e938c80b9af21f39371fae3266",
-    ("nmc", 3): "79abe17a203e2ba0f6216024c2e4c5a6613824460dd7932ceda642b1602bf34d",
-    ("nmc", 4): "f8bceeec2f5af2bb734cacbb6707af2aff3f4b9b470e6a1b564366b099e398c1",
+    ("endfs", 1): "069b53fb76a20f20737c63d882f19c047ac762a8163abd837a3619b9db93003c",
+    ("endfs", 2): "d6df79e2f1da84db7eac0940a284d7bcd2adf706371dfca431241174008f0fad",
+    ("endfs", 3): "ec0d6adca46428b1bcb7ca8c38b2ee8ced0e6f8d34065877c9cd1a0cca323ce8",
+    ("endfs", 4): "97f5f3d3238155aa23cd71b4a32ed9db6fecb42026715e1b9f68fd7d6520d543",
+    ("nmc", 1): "069b53fb76a20f20737c63d882f19c047ac762a8163abd837a3619b9db93003c",
+    ("nmc", 2): "65c74b3eb6461df17260d298a09a34590501f65de961f46738e4e007b5af379a",
+    ("nmc", 3): "6f7714257e80f9a2e1e6c10bc4e1ffb6df7fa50dd45bacd7b4b59449697e180d",
+    ("nmc", 4): "cab153301785d13c8f5ea43d707bfbd1337bcebfebdad70582df9e0d448706b2",
     ("owcty", 1): "5c616192a1ebd79259cf872f24c117b8efabc3295e66d4719d9591fd07e4ed21",
 }
 

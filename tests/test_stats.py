@@ -108,6 +108,11 @@ def test_speedup_zero_time_raises():
     d = EmpiricalDistribution.from_samples([0.0, 0.0])
     with pytest.raises(ZeroTime):
         d.speedup(4)
+    # the one nonzero sample's weight among 500 draws, (1/5)**500, underflows
+    d = EmpiricalDistribution.from_samples([0.0, 0.0, 0.0, 0.0, 1.0])
+    assert d.expected_min(500) == 0.0
+    with pytest.raises(ZeroTime, match="N=500"):
+        d.speedup(500)
 
 
 def test_empty_and_bad_samples_rejected():
@@ -125,6 +130,8 @@ def test_n_must_be_positive():
         d.expected_min(0)
     with pytest.raises(ValueError):
         d.swarm_cdf(1.0, 0)
+    with pytest.raises(ValueError):
+        d.min_stddev(0)
 
 
 @given(samples_st, st.integers(1, 12))
