@@ -26,9 +26,10 @@ def sccs_from_init(aut: BuchiAutomaton) -> list[list[int]]:
 
     Iterative Tarjan on flat arrays: index and low lists (index -1 for a
     state not yet visited), a bytearray on-stack mask, and one
-    (state, successor iterator) frame per open state.  Successors are
-    taken in edge order; components come out in reverse topological
-    order, each listed from the last state pushed down to its root.
+    (state, successor iterator) frame per open state, the top one held in
+    locals.  Successors are taken in edge order; components come out in
+    reverse topological order, each listed from the last state pushed
+    down to its root.
     """
     return list(_tarjan(aut))
 
@@ -45,41 +46,44 @@ def _tarjan(aut: BuchiAutomaton) -> Iterator[list[int]]:
     counter = 1
     stack.append(init)
     on_stack[init] = 1
-    frames = [(init, iter(edges[init]))]
-    while frames:
-        s, succs = frames[-1]
+    s, succs = init, iter(edges[init])
+    frames = []
+    while True:
         for t in succs:
             if index[t] < 0:
                 index[t] = low[t] = counter
                 counter += 1
                 stack.append(t)
                 on_stack[t] = 1
-                frames.append((t, iter(edges[t])))
+                frames.append((s, succs))
+                s, succs = t, iter(edges[t])
                 break
             if on_stack[t] and index[t] < low[s]:
                 low[s] = index[t]
         else:
-            # s is done: close its component if it is a root, else fold its
-            # low link into its parent's (a root's could not lower it)
-            frames.pop()
+            # s is done: close its component if it is a root, then fold its
+            # low link into its parent's (a root's cannot lower it)
             ls = low[s]
             if ls == index[s]:
                 if stack[-1] == s:
                     stack.pop()
                     on_stack[s] = 0
                     yield [s]
-                    continue
-                k = len(stack) - 2
-                while stack[k] != s:
-                    k -= 1
-                comp = stack[k:]
-                del stack[k:]
-                comp.reverse()
-                for w in comp:
-                    on_stack[w] = 0
-                yield comp
-            elif ls < low[frames[-1][0]]:
-                low[frames[-1][0]] = ls
+                else:
+                    k = len(stack) - 2
+                    while stack[k] != s:
+                        k -= 1
+                    comp = stack[k:]
+                    del stack[k:]
+                    comp.reverse()
+                    for w in comp:
+                        on_stack[w] = 0
+                    yield comp
+            if not frames:
+                return
+            s, succs = frames.pop()
+            if ls < low[s]:
+                low[s] = ls
 
 
 def _accepting_cycle_scc(aut: BuchiAutomaton) -> list[int] | None:

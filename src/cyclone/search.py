@@ -47,9 +47,10 @@ nothing but its own frames and finishes in one turn.  Each frame holds
 an iterator over its successors, picked once when the state is pushed: a
 list iterator, or under the fresh-successor bias (--heuristic, prefer
 successors no worker has visited yet) a generator that consumes a copy
-of the list.  A for loop reads the top frame's iterator: a step that
-pushes a state breaks back to the loop over the stack, and the loop's
-else backtracks, so a step that pushes nothing costs no call.  A racing
+of the list.  A for loop reads the iterator of the top frame, kept in
+locals: a push saves the top on the stack and breaks back to the loop
+over it, and the loop's else pops the parent back, so a step that
+pushes nothing costs no call and none indexes the stack.  A racing
 search ticks once per successor read, the read that finds the list
 exhausted included, before the frame's first read and at the end of each
 step that pushes nothing; so each yield falls just before a read, under
@@ -123,17 +124,17 @@ def _order(s, succs, key, colors, stop, dead, visited):
     return _fresh(list(out) if out is succs else out, visited)
 
 
-def _splice(stem_prefix, frames, rframes, t, amask) -> Lasso:
-    """The lasso closed by an edge into the cyan state t.
+def _splice(stem_prefix, frames, rframes, top, t, amask) -> Lasso:
+    """The lasso closed by an edge from top, the searching state, into the cyan state t.
 
-    The cycle runs along the blue stack from t, then along the red stack
-    past its root (rframes is empty for a cycle closed in blue); the stem
-    is stem_prefix followed by the blue stack up to t.
+    The blue frames, then the red ones (rooted at the blue top, none in
+    blue), then top spell the path from the search's root; the cycle runs
+    along it from t, the stem is stem_prefix followed by it up to t.
     """
-    bpath = [fr[0] for fr in frames]
-    ti = bpath.index(t)
-    cyc = bpath[ti:] + [rf[0] for rf in rframes[1:]]
-    stem = tuple(bpath[: ti + 1])
+    path = [fr[0] for fr in frames] + [rf[0] for rf in rframes] + [top]
+    ti = path.index(t)
+    cyc = path[ti:]
+    stem = tuple(path[: ti + 1])
     if stem_prefix:
         stem = tuple(stem_prefix[:-1]) + stem
     ai = next(i for i, q in enumerate(cyc) if amask[q])
@@ -212,28 +213,27 @@ def nested_search(
         blue_exp += 1
         if visited is not None:
             visited[root] = 1
-        # blue frame: [state, successor iterator, every successor came back
-        # blocked]; red frame: [state, successor iterator]
+        # top frames in locals: blue s, it, clear (all successors so far came back blocked),
+        # red rs, rit; the frames below them in frames and in rframes, which is empty between red searches
         succ = post[root]
         if len(succ) >= cut:
             succ = _order(root, succ, key_blue, colors, blk, dead_blue, visited)
-        frames = [[root, iter(succ), True]]
+        s, it, clear = root, iter(succ), True
+        frames, rframes = [], []
         maxd = max(maxd, 1)
         tick = 0
-        while frames:
-            f = frames[-1]
-            s = f[0]
+        while True:
             # a tick per successor read: here before the frame's first, and
             # after each step that pushes nothing, before the next
             if racing:
                 tick += 1
                 if not tick & 63:
                     yield  # the other workers' turn, or race's deadline check
-            for t in f[1]:
+            for t in it:
                 c = colors[t]
                 if c == CYAN and (amask[s] or amask[t]):
                     # early detection: the blue stack from t to s is a cycle
-                    return _splice(stem, frames, (), t, amask)
+                    return _splice(stem, frames, (), s, t, amask)
                 if c == WHITE and not blk[t]:
                     colors[t] = CYAN
                     blue_exp += 1
@@ -242,12 +242,13 @@ def nested_search(
                     succ = post[t]
                     if len(succ) >= cut:
                         succ = _order(t, succ, key_blue, colors, blk, dead_blue, visited)
-                    frames.append([t, iter(succ), True])
-                    if len(frames) > maxd:
-                        maxd = len(frames)
+                    frames.append((s, it, clear))
+                    s, it, clear = t, iter(succ), True
+                    if len(frames) >= maxd:
+                        maxd = len(frames) + 1
                     break
                 if allred and not blk[t]:
-                    f[2] = False
+                    clear = False
                 if racing:
                     tick += 1
                     if not tick & 63:
@@ -256,7 +257,7 @@ def nested_search(
                 # successors exhausted: backtrack s
                 colors[s] = LOCAL_BLUE
                 if allred:
-                    if f[2]:  # every successor came back blocked
+                    if clear:  # every successor came back blocked
                         blk[s] = 1
                     elif amask[s]:
                         # counter-protected red search, rooted at s
@@ -267,18 +268,17 @@ def nested_search(
                         succ = post[s]
                         if len(succ) >= cut:
                             succ = _order(s, succ, key_red, colors, stop_red, PINK, visited)
-                        rframes = [[s, iter(succ)]]
-                        while rframes:
-                            rf = rframes[-1]
+                        rs, rit = s, iter(succ)
+                        while True:
                             if racing:
                                 tick += 1
                                 if not tick & 63:
                                     yield
-                            for t in rf[1]:
+                            for t in rit:
                                 c = colors[t]
                                 if c == CYAN:
-                                    # cycle: blue stack t..s, red stack s..current, edge back to t
-                                    return _splice(stem, frames, rframes, t, amask)
+                                    # cycle: blue stack t..s, red stack s..rs, edge back to t
+                                    return _splice(stem, frames, rframes, rs, t, amask)
                                 if c != PINK and not blk[t]:
                                     assert not amask[t], "red search reached an unprocessed accepting state"
                                     colors[t] = PINK
@@ -286,8 +286,9 @@ def nested_search(
                                     succ = post[t]
                                     if len(succ) >= cut:
                                         succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)
-                                    rframes.append([t, iter(succ)])
-                                    d = len(frames) + len(rframes)
+                                    rframes.append((rs, rit))
+                                    rs, rit = t, iter(succ)
+                                    d = len(frames) + len(rframes) + 2
                                     if d > maxd:
                                         maxd = d
                                     break
@@ -296,15 +297,14 @@ def nested_search(
                                     if not tick & 63:
                                         yield
                             else:
-                                rframes.pop()
-                                u = rf[0]
-                                if shared and amask[u] and store.counter_adjust(u, -1) != 0:
+                                if shared and amask[rs] and store.counter_adjust(rs, -1) != 0:
                                     waits += 1
-                                    while store.counter_value(u):
-                                        yield  # sibling red searches rooted at u
-                                blk[u] = 1
-                    if len(frames) > 1 and not blk[s]:
-                        frames[-2][2] = False  # the parent's allred conjunction
+                                    while store.counter_value(rs):
+                                        yield  # sibling red searches rooted at rs
+                                blk[rs] = 1
+                                if not rframes:
+                                    break
+                                rs, rit = rframes.pop()
                 else:
                     if shared:
                         blk[s] = 1
@@ -316,16 +316,15 @@ def nested_search(
                         succ = post[s]
                         if len(succ) >= cut:
                             succ = _order(s, succ, key_red, colors, stop_red, PINK, visited)
-                        rframes = [[s, iter(succ)]]
-                        while rframes:
-                            rf = rframes[-1]
+                        rs, rit = s, iter(succ)
+                        while True:
                             if racing:
                                 tick += 1
                                 if not tick & 63:
                                     yield
-                            for t in rf[1]:
+                            for t in rit:
                                 if colors[t] == CYAN:
-                                    return _splice(stem, frames, rframes, t, amask)
+                                    return _splice(stem, frames, rframes, rs, t, amask)
                                 if not red[t]:
                                     if amask[t]:
                                         # met an uncleared accepting state: poison it.
@@ -343,8 +342,9 @@ def nested_search(
                                         succ = post[t]
                                         if len(succ) >= cut:
                                             succ = _order(t, succ, key_red, colors, stop_red, PINK, visited)
-                                        rframes.append([t, iter(succ)])
-                                        d = len(frames) + len(rframes)
+                                        rframes.append((rs, rit))
+                                        rs, rit = t, iter(succ)
+                                        d = len(frames) + len(rframes) + 2
                                         if d > maxd:
                                             maxd = d
                                         break
@@ -353,17 +353,23 @@ def nested_search(
                                     if not tick & 63:
                                         yield
                             else:
-                                rframes.pop()
+                                if not rframes:
+                                    break
+                                rs, rit = rframes.pop()
                         if shared:
                             for r in cand:
                                 if r == s or not dng[r]:
                                     red[r] = 1
                             if dng[s]:
-                                res = yield from repair(tuple(fr[0] for fr in frames))
+                                res = yield from repair(tuple(fr[0] for fr in frames) + (s,))
                                 if res is not None:
                                     return res
-                frames.pop()
-        return None
+                if not frames:
+                    return None
+                t = s
+                s, it, clear = frames.pop()
+                if allred and not blk[t]:
+                    clear = False  # the parent's allred conjunction: t came back unblocked
     finally:
         if rooted:
             ws.repair_expansions += blue_exp + red_exp
