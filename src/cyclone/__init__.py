@@ -22,17 +22,14 @@ _EXPORTS = {
         "SweepRow", "VerdictCorrupt", "execute", "resolve_input", "sweep", "write_csv", "write_sweep_csv",
     ),
     "colors": ("ColorStore", "UnderflowFault"),
-    "nmc": ("nmc_ndfs",),
-    "optimistic": ("endfs",),
+    "multicore": ("endfs", "lndfs", "nmc_ndfs", "swarm_ndfs"),
     "oracle": (
         "has_accepting_cycle", "sccs_from_init", "validate_lasso", "witness_lasso",
     ),
     "owcty_map": ("MapResult", "map_pass", "owcty"),
     "results": ("Lasso", "Verdict", "WatchdogTimeout", "WorkerStats", "WorkStats"),
     "search": ("ndfs",),
-    "shared_red": ("lndfs",),
     "stats": ("EmpiricalDistribution", "EmptyDistribution", "ZeroTime"),
-    "swarm": ("swarm_ndfs",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -8,9 +8,9 @@ calling thread, raising WatchdogTimeout once it has passed.  The budget
 comes from CYCLONE_WATCHDOG_SECS (default 60 seconds) and must be a
 finite number of seconds.
 
-ALGORITHM_TABLE names each detector by its public name and says by
-flags which options it takes; execute looks the name up in the package,
-whose lazy exports import only the module of the detector it runs.
+ALGORITHM_TABLE names each detector by its public name and lists the
+keywords it takes; execute looks the name up in the package, whose lazy
+exports import only the module of the detector it runs.
 """
 
 from __future__ import annotations
@@ -28,37 +28,31 @@ from .results import Verdict, WatchdogTimeout
 
 
 class Algorithm:
-    """One detector as the harness runs it, and the options it takes.
+    """One detector as the harness runs it, and the keywords it takes.
 
     function is the detector's public name in cyclone; execute calls it
     with the automaton and, by keyword, deadline (the perf_counter()
     value past which the run raises WatchdogTimeout, None for none) and
-    the options the flags select.  Every row but a lenient one passes
-    seed; parallel passes n_workers, heuristic and allred pass the flags
-    of the same name, and shared passes store (a ColorStore whose colors
-    can be dumped, None for a fresh one).  A lenient row takes no worker
-    count, seed or heuristic, and ignores any it is given instead of
-    rejecting them.
+    each option named in takes: n_workers, seed, heuristic, allred, and
+    store (a ColorStore whose colors can be dumped, None for a fresh
+    one).  An option given but not taken is rejected, except that a
+    lenient row ignores a worker count or heuristic instead.
     """
 
-    __slots__ = ("function", "parallel", "heuristic", "allred", "shared", "lenient")
+    __slots__ = ("function", "takes", "lenient")
 
-    def __init__(self, function: str, parallel: bool = False, heuristic: bool = False, allred: bool = False,
-                 shared: bool = False, lenient: bool = False):
+    def __init__(self, function: str, takes: tuple[str, ...] = (), lenient: bool = False):
         self.function = function
-        self.parallel = parallel
-        self.heuristic = heuristic
-        self.allred = allred
-        self.shared = shared
+        self.takes = takes
         self.lenient = lenient
 
 
 ALGORITHM_TABLE: dict[str, Algorithm] = {
-    "ndfs": Algorithm("ndfs", allred=True),
-    "swarm": Algorithm("swarm_ndfs", parallel=True, heuristic=True),
-    "lndfs": Algorithm("lndfs", parallel=True, heuristic=True, shared=True),
-    "endfs": Algorithm("endfs", parallel=True, shared=True),
-    "nmc": Algorithm("nmc_ndfs", parallel=True, shared=True),
+    "ndfs": Algorithm("ndfs", ("seed", "allred")),
+    "swarm": Algorithm("swarm_ndfs", ("n_workers", "seed", "heuristic")),
+    "lndfs": Algorithm("lndfs", ("n_workers", "seed", "heuristic", "store")),
+    "endfs": Algorithm("endfs", ("n_workers", "seed", "store")),
+    "nmc": Algorithm("nmc_ndfs", ("n_workers", "seed", "store")),
     "owcty": Algorithm("owcty", lenient=True),
 }
 
@@ -131,12 +125,12 @@ class BenchRecord:
         return [f"{self.wall_time_s:.6f}" if c == "wall_time_s" else getattr(self, c) for c in _COLUMNS]
 
 
-def _checked(name: str, workers: int, seed: int, heuristic: bool, allred: bool) -> Algorithm:
+def _checked(name: str, workers: int, seed: int, heuristic: bool, allred: bool,
+             store: ColorStore | None = None) -> Algorithm:
     """The table row of an algorithm, once its run options are checked.
 
     InvalidConfig for an unknown name, fewer than one worker, a negative
-    seed, or a worker count, heuristic or allred the algorithm does not
-    take; a lenient algorithm ignores a worker count or heuristic instead.
+    seed, or an option the row does not take (see Algorithm).
     """
     try:
         alg = ALGORITHM_TABLE[name]
@@ -147,13 +141,23 @@ def _checked(name: str, workers: int, seed: int, heuristic: bool, allred: bool) 
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     if not alg.lenient:
-        if workers > 1 and not alg.parallel:
+        if workers > 1 and "n_workers" not in alg.takes:
             raise InvalidConfig(f"{name} is sequential, workers must be 1")
-        if heuristic and not alg.heuristic:
+        if heuristic and "heuristic" not in alg.takes:
             raise InvalidConfig(f"heuristic ordering not supported by {name}")
-    if allred and not alg.allred:
+    if allred and "allred" not in alg.takes:
         raise InvalidConfig(f"allred is not a flag of {name}")
+    if store is not None and "store" not in alg.takes:
+        raise InvalidConfig(f"{name} has no shared color store")
     return alg
+
+
+def _digits(tok: str) -> int:
+    # a spec's counts and seeds are ASCII digits, as the text format's ids:
+    # int() would also take signs, underscores, spaces and other digits
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"not a decimal integer: {tok!r}")
+    return int(tok)
 
 
 def resolve_input(spec: str) -> BuchiAutomaton:
@@ -169,12 +173,12 @@ def resolve_input(spec: str) -> BuchiAutomaton:
                 stem, cyc, flag = parts
                 if flag not in ("acc", "noacc"):
                     raise ValueError(flag)
-                return gen_lasso(int(stem), int(cyc), flag == "acc")
+                return gen_lasso(_digits(stem), _digits(cyc), flag == "acc")
             if head == "random":
                 n, deg, p, seed = parts
-                return gen_random(int(n), float(deg), float(p), int(seed))
+                return gen_random(_digits(n), float(deg), float(p), _digits(seed))
             width, depth, seed = parts
-            return gen_needle(int(width), int(depth), int(seed))
+            return gen_needle(_digits(width), _digits(depth), _digits(seed))
         except (ValueError, TypeError) as e:
             raise InvalidConfig(f"bad generator spec {spec!r}: {e}") from e
     path = Path(spec)
@@ -215,29 +219,20 @@ def execute(
     timeout seconds after the call raises WatchdogTimeout; a non-positive
     timeout disables the watchdog, and a non-finite one is rejected with
     InvalidConfig, as are an unknown algorithm and an option it does not
-    take.  A lasso that fails validate_lasso raises VerdictCorrupt.  A
-    pre-built store may be passed for the shared-color algorithms to
-    inspect colors afterwards.
+    take, a store included.  A lasso that fails validate_lasso raises
+    VerdictCorrupt.  A pre-built store may be passed for the shared-color
+    algorithms to inspect colors afterwards.
     """
     if timeout is None:
         timeout = watchdog_secs()
     elif not math.isfinite(timeout):
         raise InvalidConfig(f"bad timeout {timeout}: not a finite number of seconds")
-    alg = _checked(algorithm, workers, seed, heuristic, allred)
+    alg = _checked(algorithm, workers, seed, heuristic, allred, store)
     deadline = perf_counter() + timeout if timeout > 0 else None
-    options = {"deadline": deadline}
-    if not alg.lenient:
-        options["seed"] = seed
-    if alg.parallel:
-        options["n_workers"] = workers
-    if alg.heuristic:
-        options["heuristic"] = heuristic
-    if alg.allred:
-        options["allred"] = allred
-    if alg.shared:
-        options["store"] = store
+    given = {"n_workers": workers, "seed": seed, "heuristic": heuristic, "allred": allred, "store": store}
+    detector = getattr(sys.modules[__package__], alg.function)
     try:
-        v = getattr(sys.modules[__package__], alg.function)(aut, **options)
+        v = detector(aut, deadline=deadline, **{k: given[k] for k in alg.takes})
     except WatchdogTimeout:
         raise WatchdogTimeout(f"{algorithm} exceeded {timeout:.1f}s budget") from None
     if v.lasso is not None and not validate_lasso(aut, v.lasso):

@@ -115,11 +115,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     aut = resolve_input(args.input)
-    store = None
-    if args.dump_colors:
-        if not ALGORITHM_TABLE[args.alg].shared:
-            raise InvalidConfig(f"{args.alg} has no shared color table to dump")
-        store = ColorStore(aut.num_states, aut.accepting)
+    store = ColorStore(aut.num_states, aut.accepting) if args.dump_colors else None
     v = execute(aut, args.alg, args.workers, args.seed, args.heuristic,
                 args.allred, timeout=args.timeout, store=store)
     if args.dump_colors:
@@ -147,12 +143,12 @@ def _cmd_bench(args) -> int:
     configs = []
     for inp in args.inputs:
         for alg in algs:
-            spec = ALGORITHM_TABLE.get(alg)
-            counts = workers if spec is not None and spec.parallel else [1]
+            takes = ALGORITHM_TABLE[alg].takes if alg in ALGORITHM_TABLE else ()
+            counts = workers if "n_workers" in takes else [1]
             for w in dict.fromkeys(counts):
                 configs.append(RunConfig(
                     alg, inp, workers=w, seed=args.seed, repeats=args.repeats,
-                    heuristic=args.heuristic and spec is not None and spec.heuristic,
+                    heuristic=args.heuristic and "heuristic" in takes,
                 ))
     records, rows = sweep(configs, oracle_check=args.oracle, timeout=args.timeout)
     with _user_data():

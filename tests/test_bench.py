@@ -13,6 +13,7 @@ from cyclone import (
     CSV_HEADER,
     BenchRecord,
     BuchiAutomaton,
+    ColorStore,
     InputNotFound,
     InvalidConfig,
     RunConfig,
@@ -63,6 +64,12 @@ def test_resolve_file_and_missing(tmp_path):
         "random:10:2:1.5:1",
         "random:10:11:0.1:1",
         "needle:0:10:1",
+        # counts and seeds are ASCII digits only, as the text format's ids
+        "lasso:1_0:1:acc",
+        "needle:\u0663:2:0",
+        "needle:2:2:-1",
+        "random:5:2:0.5:+3",
+        "lasso: 2:3:acc",
     ],
 )
 def test_bad_generator_specs_rejected(spec):
@@ -98,6 +105,10 @@ def test_execute_enforces_the_algorithm_table():
         ("ndfs", {"seed": -1}),
         ("endfs", {"heuristic": True}),
         ("swarm", {"allred": True}),
+        # a store the detector never colors would dump as a run that proved nothing
+        ("ndfs", {"store": ColorStore(a.num_states, a.accepting)}),
+        ("swarm", {"store": ColorStore(a.num_states, a.accepting)}),
+        ("owcty", {"store": ColorStore(a.num_states, a.accepting)}),
     ):
         with pytest.raises(InvalidConfig):
             execute(a, alg, timeout=0, **opts)
@@ -146,7 +157,7 @@ def test_every_extra_a_detector_sets_is_a_csv_column(spec):
     # a figure a run records but no column exports is work nothing reads
     a = resolve_input(spec)
     for alg, row in bench.ALGORITHM_TABLE.items():
-        v = execute(a, alg, 2 if row.parallel else 1, timeout=0)
+        v = execute(a, alg, 2 if "n_workers" in row.takes else 1, timeout=0)
         assert set(v.stats.extras) <= set(bench._COLUMNS), alg
 
 
@@ -180,14 +191,12 @@ def test_aggregate_wall_time_is_the_mean_of_repeats():
 def test_execute_every_algorithm_once():
     a = resolve_input("random:40:2.0:0.2:3")
     for alg, spec in bench.ALGORITHM_TABLE.items():
-        v = execute(a, alg, workers=2 if spec.parallel else 1, timeout=0)
+        v = execute(a, alg, workers=2 if "n_workers" in spec.takes else 1, timeout=0)
         assert isinstance(v, Verdict)
 
 
 def _flagged_options(spec: bench.Algorithm) -> set[str]:
-    flagged = {"seed": not spec.lenient, "n_workers": spec.parallel, "heuristic": spec.heuristic,
-               "allred": spec.allred, "store": spec.shared}
-    return {"deadline"} | {name for name, on in flagged.items() if on}
+    return {"deadline", *spec.takes}
 
 
 @pytest.mark.parametrize("alg", sorted(bench.ALGORITHM_TABLE))
@@ -235,7 +244,7 @@ def test_watchdog_stops_ndfs_and_leaves_no_thread(big):
 def test_every_algorithm_stops_at_its_deadline(big):
     threads = threading.active_count()
     for alg, spec in bench.ALGORITHM_TABLE.items():
-        for workers in (1, 3) if spec.parallel else (1,):
+        for workers in (1, 3) if "n_workers" in spec.takes else (1,):
             t0 = time.perf_counter()
             with pytest.raises(WatchdogTimeout):
                 execute(big, alg, workers, timeout=0.2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-import cyclone.nmc
+import cyclone.multicore
 from cyclone import (
     BuchiAutomaton,
     ColorStore,
@@ -144,7 +144,7 @@ def test_a_repair_that_leaves_its_root_unsafe_fails_loudly(monkeypatch):
             yield from repair((aut.init,))
         return None
 
-    monkeypatch.setattr(cyclone.nmc, "nested_search", unsafe_search)
+    monkeypatch.setattr(cyclone.multicore, "nested_search", unsafe_search)
     with pytest.raises(AssertionError, match="left it unsafe"):
         nmc_ndfs(gen_lasso(1, 2, False), 1, 0)
     assert len(calls) == 3  # the main pass, its repair, the helper's first re-join

@@ -34,7 +34,7 @@ import json, sys
 import cyclone.cli
 loaded = sorted(sys.modules)
 import cyclone
-swarm = cyclone.swarm.__name__  # a submodule not imported yet
+multicore = cyclone.multicore.__name__  # a submodule not imported yet
 unknown = None
 try:
     cyclone.no_such_name
@@ -42,7 +42,7 @@ except AttributeError as e:
     unknown = str(e)
 names = {}
 exec("from cyclone import *", names)
-print(json.dumps({"loaded": loaded, "swarm": swarm, "unknown": unknown,
+print(json.dumps({"loaded": loaded, "multicore": multicore, "unknown": unknown,
                   "bound": sorted(set(cyclone.__all__) & names.keys()), "all": sorted(cyclone.__all__)}))
 """
 
@@ -54,10 +54,9 @@ def test_the_cli_loads_only_what_check_runs():
     proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=60, check=True)
     out = json.loads(proc.stdout)
-    unused = {"statistics", "cyclone.stats", "cyclone.owcty_map", "cyclone.swarm", "cyclone.shared_red",
-              "cyclone.optimistic", "cyclone.nmc"}
+    unused = {"statistics", "cyclone.stats", "cyclone.owcty_map", "cyclone.multicore"}
     assert unused.isdisjoint(out["loaded"])
-    assert out["swarm"] == "cyclone.swarm"
+    assert out["multicore"] == "cyclone.multicore"
     assert out["unknown"] == "module 'cyclone' has no attribute 'no_such_name'"
     assert out["bound"] == out["all"]
 

@@ -140,10 +140,10 @@ def _grid_digests():
     digests = {}
     for (_, a), (alg, row) in itertools.product(list(_graphs()), ALGORITHM_TABLE.items()):
         for n, seed, heuristic, allred in itertools.product(
-            range(1, 5) if row.parallel else (1,),
+            range(1, 5) if "n_workers" in row.takes else (1,),
             range(3),
-            (False, True) if row.heuristic else (False,),
-            (False, True) if row.allred else (False,),
+            (False, True) if "heuristic" in row.takes else (False,),
+            (False, True) if "allred" in row.takes else (False,),
         ):
             v = execute(a, alg, n, seed, heuristic, allred, timeout=0)
             workers = [_counters(w) for w in v.stats.workers]
