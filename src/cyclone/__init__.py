@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "automaton": (
         "BuchiAutomaton", "DanglingStateId", "DuplicateEdge", "MalformedHeader", "ZeroCycle",
-        "gen_lasso", "gen_needle", "gen_random", "parse_automaton", "permute", "state_hash", "worker_keys",
+        "gen_lasso", "gen_needle", "gen_random", "parse_automaton", "permute", "worker_keys",
     ),
     "bench": (
         "ALGORITHM_TABLE", "CSV_HEADER", "BenchRecord", "InputNotFound", "InvalidConfig", "RunConfig",

@@ -302,16 +302,18 @@ def _mix(h: int) -> int:
 
 
 def worker_keys(worker_id: int, seed: int) -> tuple[int, int]:
-    """The (blue, red) permutation keys of one worker under seed, fed to state_hash."""
+    """The (blue, red) permutation keys of one worker under seed, fed to permute."""
     h = _mix(seed * _GOLD + worker_id)
     return _mix(h ^ 0xD1B54A32D192ED03), _mix(h ^ (2 * 0xD1B54A32D192ED03))
 
 
-def permute(succs: list[int], h: int) -> list[int]:
-    """Fisher-Yates shuffle of succs driven by hash h.  Bijective by construction."""
+def permute(succs: list[int], key: int, s: int) -> list[int]:
+    """State s's successors succs in the order of key: a Fisher-Yates shuffle
+    driven by a hash of (key, s), so bijective, and fixed per state and key."""
     d = len(succs)
     if d <= 1:
         return succs
+    h = _mix(key ^ ((s + 1) * _GOLD))
     if d == 2:
         return succs if h & 1 == 0 else [succs[1], succs[0]]
     out = list(succs)
@@ -324,11 +326,6 @@ def permute(succs: list[int], h: int) -> list[int]:
         j = x % (i + 1)
         out[i], out[j] = out[j], out[i]
     return out
-
-
-def state_hash(key: int, s: int) -> int:
-    """Per-state shuffle hash under a precomputed order key."""
-    return _mix(key ^ ((s + 1) * _GOLD))
 
 
 # ---------------------------------------------------------------------------

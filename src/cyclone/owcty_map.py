@@ -53,15 +53,15 @@ are no longer walked, a fixpoint of many rounds counts more than the
 successor lists this implementation reads: on 400 nested rings, one
 peeled per round, the count is 243,799 for about 7,600 reads.
 
-A deadline, when given, is read every 1,024 pops of the propagation,
-before each phase of a fixpoint round, and before each accepting state
-the lasso search tries.  The predecessor pass, one pass over the edges
-of the reachable graph, runs between the propagation's last read and
-round 1's first.  So between two reads the run walks the reachable
-graph at most once; a run past it raises WatchdogTimeout.  The lasso
-search needs its read: it tries the accepting survivors in id order, and
-survivors that sit on no cycle, such as a dead-end chain behind the
-cycle, each cost a full walk.
+A deadline, when given, is read after the initial closure, every 1,024
+pops of the propagation, after the predecessor pass, before each phase
+of a fixpoint round, and before each accepting state the lasso search
+tries.  So between two reads the run walks the reachable graph at most
+once, even on an input with no accepting state, whose propagation never
+pops; a run past it raises WatchdogTimeout.  The lasso search needs its
+read: it tries the accepting survivors in id order, and survivors that
+sit on no cycle, such as a dead-end chain behind the cycle, each cost a
+full walk.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ def map_pass(aut: BuchiAutomaton, deadline: float | None = None) -> MapResult:
     amask = aut.accept_mask
     edges = aut.edges
     order, parent = bfs_tree(aut, (aut.init,))
+    check_deadline(deadline)
     reach = set(order)
     table = [0] * aut.num_states
     # the pops, the table and the first cycle seen all follow the order of
@@ -155,6 +156,7 @@ def owcty(aut: BuchiAutomaton, deadline: float | None = None) -> Verdict:
     for s in mr.reach:
         for t in edges[s]:
             preds[t].append(s)
+    check_deadline(deadline)
     indeg = [len(p) for p in preds]  # edges into each state from the candidates
     mark = bytearray(aut.num_states)  # 0 out, 1 on the forest, 2 orphaned
     parent = [0] * aut.num_states

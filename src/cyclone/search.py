@@ -57,7 +57,7 @@ step that pushes nothing; so each yield falls just before a read, under
 the bias before its pick.  A list of zero or one successors has nothing
 to reorder, so it is iterated straight from the automaton without a hash
 or a copy, as is every list of a canonical search without the bias.  And
-a permuted search hashes and permutes a list only when at least two of
+a permuted search calls permute on a list only when at least two of
 its successors are live when the state is pushed, that is, can still
 change the search.  A successor is live when it is cyan, or neither
 colored dead nor set in the plane that stops the search.  In blue that
@@ -79,7 +79,7 @@ from __future__ import annotations
 import sys
 from time import perf_counter
 
-from .automaton import BuchiAutomaton, permute, state_hash, worker_keys
+from .automaton import BuchiAutomaton, permute, worker_keys
 from .colors import CYAN, DANGEROUS, LOCAL_BLUE, PINK, RED, WHITE, ColorStore
 from .results import Lasso, Verdict, WorkerStats, WorkStats, check_deadline
 
@@ -116,7 +116,7 @@ def _order(s, succs, key, colors, stop, dead, visited):
             c = colors[t]
             if c == CYAN or c != dead and not stop[t]:
                 if live:
-                    out = permute(succs, state_hash(key, s))
+                    out = permute(succs, key, s)
                     break
                 live = True
     if visited is None:

@@ -257,8 +257,9 @@ def test_watchdog_stops_owcty_inside_the_fixpoint_and_leaves_no_thread(monkeypat
     small = execute(a, "owcty", timeout=0)
     assert small.lasso is None
     assert small.stats.extras["owcty_rounds"] == 41  # one more drops the last ring
-    # the propagation's 279 pops stay under its first read of the clock and
-    # the fixpoint reads it twice a round, so read 42 is round 21's second
+    # the clock is read after the reach walk and after the predecessor pass,
+    # the propagation's 279 pops stay under its every-1,024 read, and the
+    # fixpoint reads it twice a round, so read 42 is round 20's second
     reads = []
     real = cyclone.owcty_map.check_deadline
 

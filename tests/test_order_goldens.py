@@ -224,9 +224,9 @@ def test_permute_skips_lists_with_at_most_one_live_successor(monkeypatch):
     calls = [0]
     real = cyclone.search.permute
 
-    def counting(succs, h):
+    def counting(succs, key, s):
         calls[0] += 1
-        return real(succs, h)
+        return real(succs, key, s)
 
     monkeypatch.setattr(cyclone.search, "permute", counting)
     k = 2

@@ -62,16 +62,41 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_past_deadline_raises_before_the_first_fixpoint_round(monkeypatch):
-    # the propagation reads the clock only every 1,024 pops, so on this
-    # graph the first read comes before any work of the fixpoint's first round
+    # the first read of the clock follows the reachable closure, so on this
+    # graph it raises before the propagation and the fixpoint's first round
     a = gen_lasso(2, 3, False)
     walks = _count_calls(monkeypatch, cyclone.owcty_map, "bfs_tree")
     reads = _count_calls(monkeypatch, cyclone.owcty_map, "check_deadline")
     with pytest.raises(WatchdogTimeout):
         owcty(a, deadline=perf_counter() - 1)
     assert len(walks) == 1  # the propagation's reachable closure only
-    assert len(reads) == 1  # the first round's first read raised
+    assert len(reads) == 1  # the read after the reach walk raised
     assert owcty(a).stats.extras["owcty_rounds"] == 2
+
+
+def test_no_walk_of_the_reachable_graph_goes_without_a_clock_read(monkeypatch):
+    # no accepting state: the propagation never pops, so it never reads the
+    # clock, and the reach walk and the predecessor pass each read every
+    # reachable list before round 1 starts
+    a = gen_random(3000, 2.0, 0.0, 1)
+    reach = len(map_pass(a).reach)
+    assert reach == 2390
+    edges = ReadCounted(a.edges)
+    marks = []
+    real = cyclone.owcty_map.check_deadline
+
+    def marking(deadline):
+        marks.append(edges.reads)
+        real(deadline)
+
+    monkeypatch.setattr(cyclone.owcty_map, "check_deadline", marking)
+    v = owcty(BuchiAutomaton(a.num_states, a.init, a.accepting, edges))
+    assert v.lasso is None and v.stats.extras["owcty_rounds"] == 1
+    # reads after the reach walk and after the predecessor pass, then one
+    # before each phase of round 1; the last gap is round 1's strip
+    gaps = [y - x for x, y in zip([0, *marks], [*marks, edges.reads])]
+    assert max(gaps) <= reach
+    assert len(marks) == 4
 
 
 def test_map_hit_walks_the_reachable_graph_once():

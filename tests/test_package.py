@@ -1,7 +1,8 @@
 """The package surface: no public name shadows a submodule, every export resolves,
-the names load lazily, a check run loads neither dataclasses nor csv, the
-README's library example runs, no module touches threads or dataclasses, only
-the package loads modules by name, and only the drivers build WorkerStats."""
+the names load lazily and dir lists them unloaded, a check run loads neither
+dataclasses nor csv, the README's library example runs, no module touches
+threads or dataclasses, only the package loads modules by name, and only the
+drivers build WorkerStats."""
 
 import ast
 import importlib
@@ -59,6 +60,25 @@ def test_the_cli_loads_only_what_check_runs():
     assert out["multicore"] == "cyclone.multicore"
     assert out["unknown"] == "module 'cyclone' has no attribute 'no_such_name'"
     assert out["bound"] == out["all"]
+
+
+_DIR_PROBE = """
+import json, sys
+import cyclone
+loaded = sorted(set(cyclone.__all__) & vars(cyclone).keys())
+print(json.dumps({"dir": dir(cyclone), "loaded": loaded,
+                  "submodules": sorted(m for m in sys.modules if m.startswith("cyclone."))}))
+"""
+
+
+def test_dir_lists_every_export_before_any_is_loaded():
+    src = Path(cyclone.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _DIR_PROBE], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == [] and out["submodules"] == []
+    assert set(cyclone.__all__) <= set(out["dir"])
+    assert set(cyclone.__all__) <= set(dir(cyclone))
 
 
 # modules that a `check` run must not load: dataclasses and what it
