@@ -57,10 +57,10 @@ class BuchiAutomaton:
     The constructor checks every id, every successor list for duplicates,
     and that edges has one list per state, raising ValueError otherwise.
     parse_automaton builds its result through _trusted instead, which
-    skips these checks: the parser has made each of them, with the line
-    it failed at, before it allocates the lists.  Two automata are equal
-    when their num_states, init, accepting and edges are; an automaton is
-    mutable and unhashable.
+    skips these checks, made by the parser with their lines, and
+    allocates the lists from its checked edge pairs.  Two automata are
+    equal when their num_states, init, accepting and edges are; an
+    automaton is mutable and unhashable.
     """
 
     __slots__ = ("num_states", "init", "accepting", "edges", "accept_mask")
@@ -91,8 +91,13 @@ class BuchiAutomaton:
         self.accept_mask = mask
 
     @classmethod
-    def _trusted(cls, num_states: int, init: int, accepting: frozenset[int], edges: list[list[int]]):
-        """An automaton of arguments already checked as the constructor checks them."""
+    def _trusted(cls, num_states: int, init: int, accepting: frozenset[int], pairs):
+        """The automaton of edge pairs (s, t), in declaration order, checked as the constructor checks.
+
+        The parser's successor lists are allocated here, after its last check, and nowhere else."""
+        edges: list[list[int]] = [[] for _ in range(num_states)]
+        for s, t in pairs:
+            edges[s].append(t)
         aut = cls.__new__(cls)
         aut.num_states = num_states
         aut.init = init
@@ -144,10 +149,10 @@ def parse_automaton(text: str) -> BuchiAutomaton:
     goes through a bulk path that splits everything after the three
     header lines with one str.split() and checks the whole shape at once.
     Any text it does not accept, valid or not, is parsed again by the
-    line path, the only one that reports an error and its line.  Neither
-    path allocates the successor lists before every line is checked, and
-    both build the result with BuchiAutomaton._trusted, which does not
-    check the ids, ranges and duplicates again.
+    line path, the only one that reports an error and its line.  Both
+    paths hand their checked edge pairs to BuchiAutomaton._trusted, which
+    allocates the successor lists, after every line is checked, without
+    checking the ids, ranges and duplicates again.
     """
     if text.isascii() and "#" not in text and not any(c in text for c in _ODD_ASCII_SPACE):
         aut = _parse_bulk(text)
@@ -196,10 +201,7 @@ def _parse_bulk(text: str) -> BuchiAutomaton | None:
     # an edge s -> t is the pair key s * n + t
     if lines and (max(srcs) >= n or max(dsts) >= n or len({s * n + t for s, t in zip(srcs, dsts)}) != lines):
         return None
-    edges: list[list[int]] = [[] for _ in range(n)]
-    for s, t in zip(srcs, dsts):
-        edges[s].append(t)
-    return BuchiAutomaton._trusted(n, init, frozenset(accepting), edges)
+    return BuchiAutomaton._trusted(n, init, frozenset(accepting), zip(srcs, dsts))
 
 
 def _quote(s: str) -> str:
@@ -211,18 +213,16 @@ def _quote(s: str) -> str:
 
 def _parse_lines(text: str) -> BuchiAutomaton:
     """parse_automaton's line path: every text, and every error with its line."""
-    if not text.isascii() or any(c in text for c in _ODD_ASCII_SPACE):
-        # rare, so files without such characters skip the per-line scan;
-        # compiling the pattern raises a run's peak memory by about 0.1 MB
-        stray_space = re.compile(r"[^\S \t]")
-        for no, raw in enumerate(text.split("\n"), start=1):
-            stray = stray_space.search(raw.removesuffix("\r").split("#", 1)[0])
-            if stray:
-                raise MalformedHeader(no, f"{stray.group()!r} in a line; only spaces and tabs separate tokens")
-
-    # (line_no, tokens) for every meaningful line, raw numbering preserved
+    # rare, so files without such characters skip the per-line scan;
+    # compiling the pattern raises a run's peak memory by about 0.1 MB
+    stray_space = (not text.isascii() or any(c in text for c in _ODD_ASCII_SPACE)) and re.compile(r"[^\S \t]")
+    # (line_no, tokens) for every meaningful line, raw numbering preserved;
+    # a stray character raises here, before any header is read
     rows = []
     for no, raw in enumerate(text.split("\n"), start=1):
+        # the CR comes off before the '#' split, so one right before a '#' is stray
+        if stray_space and (stray := stray_space.search(raw.removesuffix("\r").split("#", 1)[0])):
+            raise MalformedHeader(no, f"{stray.group()!r} in a line; only spaces and tabs separate tokens")
         body = raw.split("#", 1)[0].strip()
         if body:
             rows.append((no, body.split()))
@@ -282,11 +282,7 @@ def _parse_lines(text: str) -> BuchiAutomaton:
         if (s, t) in seen:
             raise DuplicateEdge(no, f"edge {s} -> {t} declared twice")
         seen[s, t] = None
-
-    edges: list[list[int]] = [[] for _ in range(n)]
-    for s, t in seen:
-        edges[s].append(t)
-    return BuchiAutomaton._trusted(n, init, frozenset(accepting), edges)
+    return BuchiAutomaton._trusted(n, init, frozenset(accepting), seen)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ class BenchRecord:
         st = v.stats
         self.input = cfg.input
         self.alg = cfg.algorithm
-        self.workers = cfg.workers
+        self.workers = len(st.workers)  # the workers that ran: owcty runs one at any count asked
         self.seed = seed
         self.repeat = repeat
         self.verdict = "CYCLE" if v.lasso is not None else "NO-CYCLE"

@@ -175,7 +175,9 @@ def _read_samples(path: str, alg: str | None, inp: str | None) -> list[float]:
                 continue
             if row.get("wall_time_s") is None:
                 raise ValueError(f"{path} line {head + reader.line_num}: no wall_time_s field")
-            out.append(float(row["wall_time_s"]))
+            # the model takes single runs; a row at more workers is a race
+            if row.get("workers", "1") == "1":
+                out.append(float(row["wall_time_s"]))
         return out
     return [float(tok) for line in lines for tok in line.split("#", 1)[0].split()]
 

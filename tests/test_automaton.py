@@ -114,6 +114,7 @@ _STRAY_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in 
     [
         ("states{}2\ninit 0\naccepting\n", 1),
         ("states 2\ninit 0{}\r\naccepting\n", 2),
+        ("states 2\ninit 0{}# note\naccepting\n", 2),
         ("states 2\ninit 0\naccepting 0{}1\n", 3),
         ("states 2\ninit 0\naccepting\ntrans 0{}1 # ok\n", 4),
     ],

@@ -121,6 +121,14 @@ def test_comparator_ignores_worker_count():
     assert records[0].owcty_rounds >= 1
 
 
+def test_a_record_gives_the_workers_that_ran():
+    # owcty runs one worker at any count asked, so both runs are one cell
+    records, rows = sweep([RunConfig("owcty", "lasso:2:3:noacc", workers=8, repeats=1),
+                           RunConfig("owcty", "lasso:2:3:noacc", repeats=1)], timeout=0)
+    assert [r.workers for r in records] == [1, 1]
+    assert [(row.workers, row.runs) for row in rows] == [(1, 2)]
+
+
 def test_csv_header_and_rows(tmp_path):
     records = sweep([RunConfig("ndfs", "lasso:2:3:acc", repeats=3)], timeout=0)[0]
     out = tmp_path / "r.csv"

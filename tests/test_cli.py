@@ -1,6 +1,10 @@
 """Exit codes and output of the command line front end."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,16 @@ def test_dist_filters_csv_rows_by_input(tmp_path, capsys):
     assert cli.main(["dist", str(rec), "--input", "c"]) == 1
 
 
+def test_dist_fits_only_one_worker_rows(tmp_path, capsys):
+    # a row at more workers is a race: its wall time is every worker's work
+    rec = tmp_path / "rec.csv"
+    rec.write_text("input,alg,workers,wall_time_s\na,swarm,1,2.0\na,swarm,4,100.0\na,swarm,1,4.0\n")
+    assert cli.main(["dist", str(rec), "--alg", "swarm", "--n", "1,2"]) == 0
+    assert capsys.readouterr().out.startswith("N=1 expected=3 ")
+    rec.write_text("input,alg,workers,wall_time_s\na,swarm,4,100.0\n")
+    assert cli.main(["dist", str(rec), "--alg", "swarm"]) == 1
+
+
 def test_dist_finds_bench_csv_header_after_blank_lines(tmp_path, capsys):
     rec = tmp_path / "rec.csv"
     assert cli.main(["bench", "lasso:2:3:acc", "--algs", "ndfs", "--repeats", "3",
@@ -294,3 +308,20 @@ def test_overlong_id_exits_one_with_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 4: target state")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+_ENTRY = "from cyclone.cli import entry; entry()"
+
+
+def test_the_console_script_exits_with_mains_code(tmp_path):
+    # entry is the cyclone script of pyproject.toml
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-c", _ENTRY, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+
+    found = run("check", "lasso:2:3:acc", "--oracle")
+    assert found.returncode == 0 and found.stdout.splitlines()[0] == "CYCLE"
+    missing = run("check", "no-such-file.aut")
+    assert missing.returncode == 1 and missing.stderr.startswith("error: ")
