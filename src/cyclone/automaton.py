@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import chain
 
 _M64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -21,6 +22,11 @@ _GOLD = 0x9E3779B97F4A7C15
 _ODD_ASCII_SPACE = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
 # the longest token or line an error message quotes in full
 _QUOTE_CHARS = 40
+# the bulk parser splits the trans lines in chunks of about this many
+# characters, cut after an LF, so their tokens never all exist at once;
+# at 64K a 6,000-state check peaked 0.6 MB higher, and smaller chunks
+# saved at most 0.2 MB more
+_CHUNK_CHARS = 1 << 14
 
 
 class _LineError(ValueError):
@@ -55,10 +61,12 @@ class BuchiAutomaton:
     for fast membership tests in inner loops.
 
     The constructor checks every id, every successor list for duplicates,
-    and that edges has one list per state, raising ValueError otherwise.
+    and that edges has one list per state, raising ValueError otherwise;
+    the first bad state in id order is the one reported.
     parse_automaton builds its result through _trusted instead, which
-    skips these checks, made by the parser with their lines, and
-    allocates the lists from its checked edge pairs.  Two automata are
+    skips these checks, made by the parser with their lines, adopts the
+    parser's successor lists, and allocates only the table of one list
+    per state, after the parser's last check.  Two automata are
     equal when their num_states, init, accepting and edges are; an
     automaton is mutable and unhashable.
     """
@@ -78,12 +86,23 @@ class BuchiAutomaton:
             if not (0 <= a < n):
                 raise ValueError(f"accepting state {a} out of range")
             mask[a] = 1
-        for s, succs in enumerate(edges):
-            if len(set(succs)) != len(succs):
-                raise ValueError(f"duplicate successor in state {s}")
-            for t in succs:
-                if not (0 <= t < n):
-                    raise ValueError(f"edge {s}->{t} out of range")
+        try:
+            # exact ints are totally ordered, so the least and the greatest
+            # bound them all
+            flat = list(chain.from_iterable(edges))
+            ok = (set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and max(flat, default=0) < n
+                  and all(len(set(x)) == len(x) for x in edges if len(x) > 1))
+        except Exception:  # the loop below raises what it would have
+            ok = False
+        if not ok:
+            # the first bad state in id order raises, a duplicate before a
+            # range error in the same state
+            for s, succs in enumerate(edges):
+                if len(set(succs)) != len(succs):
+                    raise ValueError(f"duplicate successor in state {s}")
+                for t in succs:
+                    if not (0 <= t < n):
+                        raise ValueError(f"edge {s}->{t} out of range")
         self.num_states = num_states
         self.init = init
         self.accepting = accepting
@@ -91,18 +110,18 @@ class BuchiAutomaton:
         self.accept_mask = mask
 
     @classmethod
-    def _trusted(cls, num_states: int, init: int, accepting: frozenset[int], pairs):
-        """The automaton of edge pairs (s, t), in declaration order, checked as the constructor checks.
+    def _trusted(cls, num_states: int, init: int, accepting: frozenset[int], succs: dict[int, list[int]]):
+        """The automaton whose state s has the successors succs[s], none if s is
+        not a key, checked as the constructor checks.
 
-        The parser's successor lists are allocated here, after its last check, and nowhere else."""
-        edges: list[list[int]] = [[] for _ in range(num_states)]
-        for s, t in pairs:
-            edges[s].append(t)
+        It adopts the parser's lists.  The table of num_states lists is
+        allocated here, after the parser's last check, and nowhere else."""
+        get = succs.get
         aut = cls.__new__(cls)
         aut.num_states = num_states
         aut.init = init
         aut.accepting = accepting
-        aut.edges = edges
+        aut.edges = [get(s) or [] for s in range(num_states)]
         aut.accept_mask = mask = bytearray(num_states)
         for a in accepting:
             mask[a] = 1
@@ -146,13 +165,17 @@ def parse_automaton(text: str) -> BuchiAutomaton:
     prefix of the offending token or line.
 
     A plain text (ASCII, no '#', no CR or other stray whitespace) first
-    goes through a bulk path that splits everything after the three
-    header lines with one str.split() and checks the whole shape at once.
-    Any text it does not accept, valid or not, is parsed again by the
-    line path, the only one that reports an error and its line.  Both
-    paths hand their checked edge pairs to BuchiAutomaton._trusted, which
-    allocates the successor lists, after every line is checked, without
-    checking the ids, ranges and duplicates again.
+    goes through a bulk path.  It takes the lines after the three headers
+    in chunks of whole lines, about _CHUNK_CHARS characters each, and
+    splits, checks and converts one chunk before it slices the next, so
+    its transient memory is one chunk's tokens.  It groups the edges by
+    source as it converts them, and checks for duplicates in those
+    lists.  Any text it does not accept, valid or not, is parsed again by
+    the line path, the only one that reports an error and its line.  Both
+    paths hand their checked successor lists, keyed by source, to
+    BuchiAutomaton._trusted.  It adopts them and allocates the table of
+    one list per state, after every line is checked, without checking the
+    ids, ranges and duplicates again.
     """
     if text.isascii() and "#" not in text and not any(c in text for c in _ODD_ASCII_SPACE):
         aut = _parse_bulk(text)
@@ -165,43 +188,59 @@ def _parse_bulk(text: str) -> BuchiAutomaton | None:
     """The automaton of a plain, valid text whose first three lines are its headers; else None.
 
     The caller has checked that text is ASCII and holds no '#' and no
-    whitespace but spaces, tabs and LF.
+    whitespace but spaces, tabs and LF.  A duplicate edge is a repeat in
+    one of the lists grouped by source, which the automaton adopts.
     """
-    head = text.split("\n", 3)
-    if len(head) < 4:
+    i = text.find("\n")
+    j = text.find("\n", i + 1)  # -1 when i is: there is no LF at all
+    k = text.find("\n", j + 1) if j >= 0 else -1
+    if k < 0:
         return None
-    h_states, h_init, h_acc, rest = head[0].split(), head[1].split(), head[2].split(), head[3]
+    h_states, h_init, h_acc = text[:i].split(), text[i + 1:j].split(), text[j + 1:k].split()
     if (len(h_states) != 2 or h_states[0] != "states" or len(h_init) != 2 or h_init[0] != "init"
             or not h_acc or h_acc[0] != "accepting"):
         return None
     ids = [h_states[1], h_init[1], *h_acc[1:]]
-    toks = rest.split()
-    # one 'trans' line per line of rest: every line then starts with its
-    # own 'trans' and holds exactly three tokens
-    lines = rest.count("\n")
-    if rest and not rest.endswith("\n"):
-        lines += 1
-    if len(toks) != 3 * lines or toks[::3].count("trans") != lines:
-        return None
-    if lines and not (rest.startswith("trans") and rest.count("\ntrans") == lines - 1):
-        return None
-    srcs, dsts = toks[1::3], toks[2::3]
-    del toks
     # int() also takes a sign or underscores; ASCII isdigit() is 0-9 only
-    if not "".join(ids).isdigit() or (lines and not ("".join(srcs).isdigit() and "".join(dsts).isdigit())):
+    if not "".join(ids).isdigit():
         return None
     try:
         n, init, *accepting = map(int, ids)
-        srcs = list(map(int, srcs))
-        dsts = list(map(int, dsts))
     except ValueError:  # past the interpreter's limit on digits
         return None
     if not (0 <= init < n) or (accepting and max(accepting) >= n):
         return None
-    # an edge s -> t is the pair key s * n + t
-    if lines and (max(srcs) >= n or max(dsts) >= n or len({s * n + t for s, t in zip(srcs, dsts)}) != lines):
-        return None
-    return BuchiAutomaton._trusted(n, init, frozenset(accepting), zip(srcs, dsts))
+    succs: dict[int, list[int]] = {}
+    add = succs.setdefault
+    pos = k + 1
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK_CHARS - 1) + 1 or len(text)
+        chunk = text[pos:end]
+        pos = end
+        # one 'trans' line per line of the chunk: every line then starts
+        # with its own 'trans' and holds exactly three tokens
+        lines = chunk.count("\n") + (not chunk.endswith("\n"))
+        toks = chunk.split()
+        if (len(toks) != 3 * lines or toks[::3].count("trans") != lines
+                or not chunk.startswith("trans") or chunk.count("\ntrans") != lines - 1):
+            return None
+        srcs, dsts = toks[1::3], toks[2::3]
+        del toks
+        if not ("".join(srcs).isdigit() and "".join(dsts).isdigit()):
+            return None
+        try:
+            srcs = list(map(int, srcs))
+            dsts = list(map(int, dsts))
+        except ValueError:  # past the interpreter's limit on digits
+            return None
+        if max(srcs) >= n or max(dsts) >= n:
+            return None
+        for s, t in zip(srcs, dsts):
+            add(s, []).append(t)
+    for succ in succs.values():
+        if len(succ) > 1 and len(set(succ)) != len(succ):
+            return None
+    return BuchiAutomaton._trusted(n, init, frozenset(accepting), succs)
 
 
 def _quote(s: str) -> str:
@@ -268,7 +307,8 @@ def _parse_lines(text: str) -> BuchiAutomaton:
             raise DanglingStateId(no, f"accepting state {a} >= states {n}")
         accepting.add(a)
 
-    # every edge once, in file order; the lists come after the last check
+    # every edge once, in file order; the table of lists comes after the
+    # last check
     seen: dict[tuple[int, int], None] = {}
     for no, toks in rows[3:]:
         if toks[0] != "trans" or len(toks) != 3:
@@ -282,7 +322,10 @@ def _parse_lines(text: str) -> BuchiAutomaton:
         if (s, t) in seen:
             raise DuplicateEdge(no, f"edge {s} -> {t} declared twice")
         seen[s, t] = None
-    return BuchiAutomaton._trusted(n, init, frozenset(accepting), seen)
+    succs: dict[int, list[int]] = {}
+    for s, t in seen:
+        succs.setdefault(s, []).append(t)
+    return BuchiAutomaton._trusted(n, init, frozenset(accepting), succs)
 
 
 # ---------------------------------------------------------------------------

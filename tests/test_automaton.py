@@ -5,10 +5,12 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from cyclone import (
@@ -25,6 +27,7 @@ from cyclone import (
     permute,
     worker_keys,
 )
+from cyclone import automaton
 from cyclone.automaton import _parse_bulk, _parse_lines
 from strategies import automata, layered
 
@@ -143,6 +146,57 @@ def test_the_constructor_rejects_what_the_parser_would(args, message):
     with pytest.raises(ValueError) as ei:
         BuchiAutomaton(*args)
     assert type(ei.value) is ValueError and str(ei.value) == message
+
+
+def _reference_construct(n, init, accepting, edges):
+    # the constructor's checks as one loop per state, as they were before
+    # the successor lists were checked in bulk
+    if n < 1:
+        raise ValueError("automaton needs at least one state")
+    if not (0 <= init < n):
+        raise ValueError(f"init {init} out of range")
+    if len(edges) != n:
+        raise ValueError("edges must list successors for every state")
+    for a in accepting:
+        if not (0 <= a < n):
+            raise ValueError(f"accepting state {a} out of range")
+    for s, succs in enumerate(edges):
+        if len(set(succs)) != len(succs):
+            raise ValueError(f"duplicate successor in state {s}")
+        for t in succs:
+            if not (0 <= t < n):
+                raise ValueError(f"edge {s}->{t} out of range")
+
+
+def _construct_outcome(construct, args):
+    try:
+        construct(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 6))
+    # mostly ids in range; then duplicates, ids past either end, and
+    # entries that are not ints: floats with NaN, bools, None, strings
+    # and unhashable lists
+    entry = st.one_of(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, n + 3), st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=True), st.just(float("nan")), st.booleans(), st.none(), st.text(max_size=2), st.lists(st.integers(0, 2), max_size=1))
+    edges = draw(st.lists(st.lists(entry, max_size=4), min_size=n, max_size=n))
+    return n, 0, frozenset(), edges
+
+
+@settings(max_examples=500)
+@given(_edge_lists())
+# NaN compares false both ways, so a least and a greatest id in range
+# would not bound it; a range error in state 0 wins over a duplicate in 1
+@example((2, 0, frozenset(), [[1, float("nan")], []]))
+@example((2, 0, frozenset(), [[2], [0, 0]]))
+def test_the_constructor_raises_as_a_loop_over_the_states_would(args):
+    assert _construct_outcome(BuchiAutomaton, args) == _construct_outcome(_reference_construct, args)
 
 
 def test_automata_compare_by_value_and_are_unhashable():
@@ -273,23 +327,120 @@ import resource, sys, tracemalloc
 # a parser that allocates before it checks gets a MemoryError here, not
 # the whole machine's memory
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from cyclone import MalformedHeader, parse_automaton
+from cyclone import DuplicateEdge, MalformedHeader, parse_automaton
 tracemalloc.start()
 try:
-    parse_automaton("states 1000000000000\\ninit 0\\naccepting\\ntrans 0 x\\n")
-except MalformedHeader as e:
-    print(e.line, tracemalloc.get_traced_memory()[1])
+    parse_automaton(sys.argv[1])
+except (DuplicateEdge, MalformedHeader) as e:
+    print(type(e).__name__, e.line, tracemalloc.get_traced_memory()[1])
 """
 
 
-def test_a_bad_line_raises_before_the_successor_lists_exist():
+def _huge_header_probe(text):
+    """(error type name, line, tracemalloc peak) of parsing text in a child under a 1 GiB address space."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", _HUGE_HEADER_PROBE], env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", _HUGE_HEADER_PROBE, text],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    line, peak = map(int, proc.stdout.split())
-    assert line == 4
+    name, line, peak = proc.stdout.split()
+    return name, int(line), int(peak)
+
+
+def test_a_bad_line_raises_before_the_successor_lists_exist():
+    name, line, peak = _huge_header_probe("states 1000000000000\ninit 0\naccepting\ntrans 0 x\n")
+    assert (name, line) == ("MalformedHeader", 4)
     assert peak < 1_000_000
+
+
+def test_a_duplicate_edge_raises_before_the_successor_lists_exist():
+    # the duplicate check runs on the lists grouped by source, before the
+    # table of one list per declared state is allocated
+    name, line, peak = _huge_header_probe("states 1000000000000\ninit 0\naccepting\ntrans 0 1\ntrans 0 1\n")
+    assert (name, line) == ("DuplicateEdge", 5)
+    assert peak < 1_000_000
+
+
+def test_the_bulk_parse_peaks_within_twice_the_automaton():
+    # a layered graph of the benchmark's size: 6,000 states, about 15,000
+    # edges.  Whole-text tokens and a set of edge keys made the peak 2.9
+    # times what the automaton keeps; chunks and lists grouped by source
+    # make it 1.6 times.
+    text = layered(0, False, 24, 250).to_text()
+    tracemalloc.start()
+    try:
+        a = parse_automaton(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.num_edges > 14_000
+    assert peak <= 2 * kept
+
+
+@contextmanager
+def _chunks_of(chars):
+    saved = automaton._CHUNK_CHARS
+    automaton._CHUNK_CHARS = chars
+    try:
+        yield
+    finally:
+        automaton._CHUNK_CHARS = saved
+
+
+@given(automata(), st.integers(1, 24))
+def test_text_round_trip_in_small_chunks(a, chars):
+    with _chunks_of(chars):
+        _parsed_like_constructed(a)
+
+
+@settings(max_examples=400)
+@given(_mutated_texts(), st.integers(1, 24))
+def test_bulk_and_line_paths_agree_in_small_chunks(text, chars):
+    assume(all(int(d) <= 10_000 for d in re.findall("[0-9]+", text)))
+    with _chunks_of(chars):
+        assert _outcome(parse_automaton, text) == _outcome(_parse_lines, text)
+
+
+_TWO_CHUNKS = "states 3\ninit 0\naccepting 2\ntrans 0 1\n{}\ntrans 2 0\n"
+
+
+@pytest.mark.parametrize("second, exc", [
+    ("trans 1 x", MalformedHeader),
+    ("trans 1 +2", MalformedHeader),
+    ("trans 1", MalformedHeader),
+    ("trans 1 2 0", MalformedHeader),
+    ("1 2", MalformedHeader),
+    ("trans 1 3", DanglingStateId),
+    ("trans 0 1", DuplicateEdge),
+])
+def test_a_bad_line_opening_the_second_chunk_raises_at_its_line(second, exc):
+    # "trans 0 1\n" fills the first chunk of 10 characters to the LF, so
+    # line 5 opens the second; the duplicate repeats an edge of the first
+    text = _TWO_CHUNKS.format(second)
+    with _chunks_of(10):
+        assert _parse_bulk(text) is None
+        with pytest.raises(exc) as ei:
+            parse_automaton(text)
+    assert ei.value.line == 5
+    assert _outcome(parse_automaton, text) == _outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize("text", [
+    # tabs on either side of a chunk's closing LF, and opening one
+    "states 3\ninit 0\naccepting 2\ntrans\t0\t1\t\ntrans 1 2\n\ttrans 2 0\n",
+    # CRs before each LF, where a chunk ends
+    "states 3\r\ninit 0\r\naccepting 2\r\ntrans 0 1\r\ntrans 1 2\r\ntrans 2 0\r\n",
+    # several chunks and no final LF
+    "states 3\ninit 0\naccepting 2\ntrans 0 1\ntrans 1 2\ntrans 2 0",
+    "states 3\ninit 0\naccepting 2\ntrans 0 1\ntrans 1 2\ntrans\t2 0\t",
+], ids=["tabs", "crlf", "no-final-lf", "no-final-lf-tabs"])
+@pytest.mark.parametrize("chars", [1, 5, 10, 11, 17, 1 << 14])
+def test_chunk_boundaries_keep_the_parse(text, chars):
+    expected = BuchiAutomaton(3, 0, frozenset({2}), [[1], [2], [0]])
+    with _chunks_of(chars):
+        assert parse_automaton(text) == expected
+        assert _parse_lines(text) == expected
+        if text.startswith("states 3\ninit") and "\n\t" not in text:
+            assert _parse_bulk(text) == expected
 
 
 # --- successor permutations ---------------------------------------------
