@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from cyclone import (
@@ -146,57 +146,6 @@ def test_the_constructor_rejects_what_the_parser_would(args, message):
     with pytest.raises(ValueError) as ei:
         BuchiAutomaton(*args)
     assert type(ei.value) is ValueError and str(ei.value) == message
-
-
-def _reference_construct(n, init, accepting, edges):
-    # the constructor's checks as one loop per state, as they were before
-    # the successor lists were checked in bulk
-    if n < 1:
-        raise ValueError("automaton needs at least one state")
-    if not (0 <= init < n):
-        raise ValueError(f"init {init} out of range")
-    if len(edges) != n:
-        raise ValueError("edges must list successors for every state")
-    for a in accepting:
-        if not (0 <= a < n):
-            raise ValueError(f"accepting state {a} out of range")
-    for s, succs in enumerate(edges):
-        if len(set(succs)) != len(succs):
-            raise ValueError(f"duplicate successor in state {s}")
-        for t in succs:
-            if not (0 <= t < n):
-                raise ValueError(f"edge {s}->{t} out of range")
-
-
-def _construct_outcome(construct, args):
-    try:
-        construct(*args)
-    except Exception as e:
-        return type(e), str(e)
-    return None
-
-
-@st.composite
-def _edge_lists(draw):
-    n = draw(st.integers(1, 6))
-    # mostly ids in range; then duplicates, ids past either end, and
-    # entries that are not ints: floats with NaN, bools, None, strings
-    # and unhashable lists
-    entry = st.one_of(
-        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, n + 3), st.integers(-(2**70), 2**70),
-        st.floats(allow_nan=True), st.just(float("nan")), st.booleans(), st.none(), st.text(max_size=2), st.lists(st.integers(0, 2), max_size=1))
-    edges = draw(st.lists(st.lists(entry, max_size=4), min_size=n, max_size=n))
-    return n, 0, frozenset(), edges
-
-
-@settings(max_examples=500)
-@given(_edge_lists())
-# NaN compares false both ways, so a least and a greatest id in range
-# would not bound it; a range error in state 0 wins over a duplicate in 1
-@example((2, 0, frozenset(), [[1, float("nan")], []]))
-@example((2, 0, frozenset(), [[2], [0, 0]]))
-def test_the_constructor_raises_as_a_loop_over_the_states_would(args):
-    assert _construct_outcome(BuchiAutomaton, args) == _construct_outcome(_reference_construct, args)
 
 
 def test_automata_compare_by_value_and_are_unhashable():
