@@ -1,5 +1,7 @@
 """Propagation pass and elimination fixpoint."""
 
+import sys
+from operator import length_hint
 from time import perf_counter
 
 import pytest
@@ -19,6 +21,7 @@ from cyclone import (
     validate_lasso,
 )
 from cyclone.bench import execute
+from cyclone.owcty_map import MapResult
 from cyclone.paths import bfs_tree, cycle_through, reachable_from, tree_path
 from strategies import ReadCounted, automata, bfs_path, fan_into_chain, layered, onion
 
@@ -148,6 +151,138 @@ def test_propagation_hit_is_always_sound(a):
         assert has_accepting_cycle(a)
         assert validate_lasso(a, mr.lasso)
         assert mr.lasso.stem == tuple(bfs_path(a, a.init, mr.lasso.stem[-1]))
+
+
+def _reference_map_pass(aut, reads=None):
+    """(MapResult, fresh pops) of the propagation that reads every pop's list.
+
+    The loop as it stood before clean pops were skipped: it counts each
+    pop and tests for a clock read at each.  reads, when given, collects
+    the number of each pop the clock is read before.  A fresh pop is one
+    whose state has risen since its previous pop, or is popped first.
+    """
+    amask = aut.accept_mask
+    edges = aut.edges
+    order, parent = bfs_tree(aut, (aut.init,))
+    reach = set(order)
+    table = [0] * aut.num_states
+    queue = [s for s in reach if amask[s]]
+    last = {}  # each popped state's entry at its previous pop
+    fresh = 0
+    pops = len(reach)
+    for u in queue:
+        pops += 1
+        if not pops & 1023 and reads is not None:
+            reads.append(pops)
+        fresh += last.get(u) != table[u]
+        last[u] = table[u]
+        val = u + 1 if amask[u] and u + 1 > table[u] else table[u]
+        for t in edges[u]:
+            if val > table[t]:
+                if amask[t] and val == t + 1:
+                    lasso = Lasso(tuple(tree_path(parent, t)), tuple(cycle_through(aut, t)), 0)
+                    return MapResult(lasso, table, pops, reach, parent), fresh
+                table[t] = val
+                queue.append(t)
+    return MapResult(None, table, pops, reach, parent), fresh
+
+
+def _accepting_chain(n):
+    # 0 -> 1 -> ... -> n-1, all accepting: every seed pop but the first
+    # meets a successor its predecessor raised, and the n - 1 appended
+    # entries are clean when popped
+    return BuchiAutomaton(n, 0, frozenset(range(n)), [[s + 1] for s in range(n - 1)] + [[]])
+
+
+def _sparse_randoms():
+    # reach is a small share of the ids, so the set's iteration order is
+    # not ascending, and so neither is the queue's seeding
+    auts = [gen_random(n, degree, 0.3, seed) for n, degree in [(3000, 1.0), (2000, 1.2)] for seed in range(6)]
+    assert all(list(r) != sorted(r) for r in (map_pass(a).reach for a in auts))
+    return auts
+
+
+_BIG_INPUTS = {
+    "layered": layered(1, False, 40, 200),
+    "layered-back-edge": layered(2, True, 40, 200),
+    "onion-40": onion(40),
+    **{f"chain-{n}": _accepting_chain(n) for n in (1022, 1023, 1024, 1025, 2047)},
+}
+
+
+def _same_pass(a):
+    got = map_pass(a)
+    want, _ = _reference_map_pass(a)
+    assert (got.lasso, got.table, got.pops, got.reach, got.parent) == (
+        want.lasso, want.table, want.pops, want.reach, want.parent)
+    return got
+
+
+@given(automata(max_states=12, max_degree=3))
+def test_propagation_matches_the_pop_by_pop_loop(a):
+    _same_pass(a)
+
+
+def test_propagation_matches_the_pop_by_pop_loop_on_sparse_reach():
+    found = [_same_pass(a).lasso is not None for a in _sparse_randoms()]
+    assert any(found) and not all(found)
+
+
+def _clock_pops(monkeypatch):
+    """The numbers of the pops map_pass reads the clock before, as a list it fills.
+
+    The propagation holds no pop counter: the running count is the reach
+    plus the entries its queue iterator has handed out.
+    """
+    pops = []
+
+    def recording(deadline):
+        f = sys._getframe(1).f_locals
+        if "it" in f:  # not the read after the reach walk
+            pops.append(len(f["reach"]) + len(f["queue"]) - length_hint(f["it"]) + 1)
+
+    monkeypatch.setattr(cyclone.owcty_map, "check_deadline", recording)
+    return pops
+
+
+@pytest.mark.parametrize("name", _BIG_INPUTS)
+def test_large_propagations_match_the_pop_by_pop_loop_and_its_clock(monkeypatch, name):
+    a = _BIG_INPUTS[name]
+    want = []
+    mr, _ = _reference_map_pass(a, want)
+    got = _clock_pops(monkeypatch)
+    _same_pass(a)
+    assert got == want
+    assert len(got) == mr.pops // 1024 - len(mr.reach) // 1024
+
+
+def test_the_clock_reads_cover_the_slice_edges(monkeypatch):
+    # reach 1,023: the first pop is number 1,024, so the clock is read
+    # before any pop; reach 1,024: the first 1,023 pops go unread
+    got = _clock_pops(monkeypatch)
+    assert map_pass(_accepting_chain(1023)).pops == 3068
+    assert got == [1024, 2048]
+    got.clear()
+    assert map_pass(_accepting_chain(1024)).pops == 3071
+    assert got == [2048]
+
+
+def test_the_propagation_reads_one_list_per_fresh_pop():
+    # the pop-by-pop loop reads a list at each of its 41,780 pops; the
+    # 12,611 pops of a state that has not risen since its last pop raise
+    # nothing
+    a = layered(1, False, 40, 200)
+    want, fresh = _reference_map_pass(a)
+    assert want.lasso is None
+    assert (want.pops - len(want.reach), fresh) == (41_780, 29_169)
+    walk = ReadCounted(a.edges)
+    bfs_tree(BuchiAutomaton(a.num_states, a.init, a.accepting, walk), (a.init,))
+    edges = ReadCounted(a.edges)
+    mr = map_pass(BuchiAutomaton(a.num_states, a.init, a.accepting, edges))
+    reads = edges.reads - walk.reads
+    assert mr.pops == want.pops
+    assert reads == fresh
+    assert reads < 0.75 * (want.pops - len(want.reach))
 
 
 @given(automata(max_states=8))
