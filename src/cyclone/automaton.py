@@ -151,12 +151,11 @@ def parse_automaton(text: str) -> BuchiAutomaton:
     offending 1-based line number; the message quotes at most a short
     prefix of the offending token or line.
 
-    A plain text (ASCII, no '#', no stray whitespace, a CR only right
-    before an LF) first goes through a bulk path, so CRLF texts take it
-    too, with their line ends made LF.  It takes the lines after the
-    three headers in chunks of whole lines, about _CHUNK_CHARS characters
-    each, and splits, checks and converts one chunk before it slices the
-    next, so its transient memory is one chunk's tokens.  It groups the edges by
+    A plain text (ASCII, no '#', no CR or other stray whitespace) first
+    goes through a bulk path.  It takes the lines after the three headers
+    in chunks of whole lines, about _CHUNK_CHARS characters each, and
+    splits, checks and converts one chunk before it slices the next, so
+    its transient memory is one chunk's tokens.  It groups the edges by
     source as it converts them, and checks for duplicates in those
     lists.  Any text it does not accept, valid or not, is parsed again by
     the line path, the only one that reports an error and its line.  Both
@@ -165,12 +164,10 @@ def parse_automaton(text: str) -> BuchiAutomaton:
     one list per state, after every line is checked, without checking the
     ids, ranges and duplicates again.
     """
-    if text.isascii() and "#" not in text:
-        plain = text.replace("\r\n", "\n") if "\r" in text else text
-        if not any(c in plain for c in _ODD_ASCII_SPACE):
-            aut = _parse_bulk(plain)
-            if aut is not None:
-                return aut
+    if text.isascii() and "#" not in text and not any(c in text for c in _ODD_ASCII_SPACE):
+        aut = _parse_bulk(text)
+        if aut is not None:
+            return aut
     return _parse_lines(text)
 
 

@@ -56,21 +56,19 @@ successor lists this implementation reads: on 400 nested rings, one
 peeled per round, the count is 243,799 for about 7,600 reads.
 
 A deadline, when given, is read after the initial closure, before every
-1,024th pop of the propagation (once per slice of 1,024 pops, counted on
-from the reachable states), after the predecessor pass, before each
-phase of a fixpoint round, and before each accepting state the lasso
-search tries.  So between two reads the run walks the reachable graph at
-most once, even on an input with no accepting state, whose propagation
-never pops; a run past it raises WatchdogTimeout.  The lasso search needs
-its read: it tries the accepting survivors in id order, and survivors
-that sit on no cycle, such as a dead-end chain behind the cycle, each
-cost a full walk.
+1,024th pop of the propagation (pops counted on from the reachable
+states), after the predecessor pass, before each phase of a fixpoint
+round, and before each accepting state the lasso search tries.  So
+between two reads the run walks the reachable graph at most once, even
+on an input with no accepting state, whose propagation never pops; a run
+past it raises WatchdogTimeout.  The lasso search needs its read: it
+tries the accepting survivors in id order, and survivors that sit on no
+cycle, such as a dead-end chain behind the cycle, each cost a full walk.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice
-from operator import length_hint
 from time import perf_counter
 
 from .automaton import BuchiAutomaton
@@ -119,9 +117,11 @@ def map_pass(aut: BuchiAutomaton, deadline: float | None = None) -> MapResult:
     # value, and entries only grow
     dirty = bytearray(amask)
     it = iter(queue)  # sees the appends made while it is drained
-    # pops are numbered on from len(reach); the clock is read before each
-    # pop whose number is a multiple of 1,024
-    k = 1023 - (len(reach) & 1023)
+    # the clock is read before each pop whose number, counted on from
+    # len(reach), is a multiple of 1,024, so the queue drains in slices
+    # that end just before those pops, with no per-pop count
+    pops = len(reach)
+    k = 1023 - (pops & 1023)
     while True:
         for u in islice(it, k):  # first in, first out
             if not dirty[u]:
@@ -135,16 +135,19 @@ def map_pass(aut: BuchiAutomaton, deadline: float | None = None) -> MapResult:
                         cycle = cycle_through(aut, t)
                         stem = tree_path(parent, t)
                         assert cycle is not None and stem is not None
-                        pops = len(reach) + len(queue) - length_hint(it)
+                        # every entry is popped but those still ahead
+                        pops = len(reach) + len(queue) - sum(1 for _ in it)
                         return MapResult(Lasso(tuple(stem), tuple(cycle), 0), table, pops, reach, parent)
                     table[t] = val
                     dirty[t] = 1
                     queue.append(t)
-        if not length_hint(it):
+        # the slice handed out k entries, or all that were left
+        pops = min(pops + k, len(reach) + len(queue))
+        if pops == len(reach) + len(queue):
             break
         check_deadline(deadline)
         k = 1024
-    return MapResult(None, table, len(reach) + len(queue), reach, parent)
+    return MapResult(None, table, pops, reach, parent)
 
 
 def owcty(aut: BuchiAutomaton, deadline: float | None = None) -> Verdict:

@@ -392,72 +392,6 @@ def test_chunk_boundaries_keep_the_parse(text, chars):
             assert _parse_bulk(text) == expected
 
 
-def _crlf(text):
-    return text.replace("\n", "\r\n")
-
-
-def _refused(text):
-    raise AssertionError("the text left the bulk path")
-
-
-@given(automata())
-def test_crlf_texts_take_the_bulk_path(a):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automaton, "_parse_lines", _refused)
-        b = parse_automaton(_crlf(a.to_text()))
-    assert b == a and b.accept_mask == a.accept_mask
-
-
-@settings(max_examples=400)
-@given(_mutated_texts())
-def test_bulk_and_line_paths_agree_on_crlf_texts(text):
-    assume(all(int(d) <= 10_000 for d in re.findall("[0-9]+", text)))
-    crlf = _crlf(text)
-    assert _outcome(parse_automaton, crlf) == _outcome(_parse_lines, crlf)
-
-
-@pytest.mark.parametrize("text, exc, line", [
-    ("states 2\ninit 0\naccepting\ntrans 0 x\n", MalformedHeader, 4),
-    ("states 2\ninit 0\naccepting 1\ntrans 0 1\ntrans 1 2\n", DanglingStateId, 5),
-    ("states 2\ninit 0\naccepting\ntrans 0 1\ntrans 1 0\ntrans 0 1\n", DuplicateEdge, 6),
-], ids=["bad-token", "dangling-id", "duplicate-edge"])
-def test_crlf_errors_keep_their_type_line_and_message(text, exc, line):
-    with pytest.raises(exc) as ei:
-        parse_automaton(text)
-    assert ei.value.line == line
-    assert _outcome(parse_automaton, _crlf(text)) == (exc, line, str(ei.value))
-
-
-@pytest.mark.parametrize("text, line", [
-    ("states 2\r\ninit 0\r\naccepting\r\ntrans 0 1\rtrans 1 0\r\n", 4),
-    ("states 2\r\ninit 0\r\naccepting\r\ntrans 0 1\r\r\ntrans 1 0\r\n", 4),
-], ids=["lone-cr", "cr-cr-lf"])
-def test_a_stray_cr_in_a_crlf_text_takes_the_line_path(monkeypatch, text, line):
-    bulk = []
-    monkeypatch.setattr(automaton, "_parse_bulk", lambda text: bulk.append(text))
-    with pytest.raises(MalformedHeader) as ei:
-        parse_automaton(text)
-    assert not bulk
-    assert ei.value.line == line and "'\\r' in a line" in str(ei.value)
-
-
-def test_a_crlf_parse_peaks_near_its_lf_parse():
-    # the line path keeps every line's tokens at once: 10.9 MB here, 6.2
-    # times the LF parse; the bulk path with its one copy of the text
-    # peaks 1.16 times the LF parse
-    text = gen_random(6000, 3.0, 0.2, 1).to_text()
-    peaks = []
-    for t in (text, _crlf(text)):
-        tracemalloc.start()
-        try:
-            a = parse_automaton(t)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert a.num_states == 6000
-    assert peaks[1] <= 1.5 * peaks[0]
-
-
 # --- successor permutations ---------------------------------------------
 
 

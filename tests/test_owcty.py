@@ -1,7 +1,5 @@
 """Propagation pass and elimination fixpoint."""
 
-import sys
-from operator import length_hint
 from time import perf_counter
 
 import pytest
@@ -157,9 +155,9 @@ def _reference_map_pass(aut, reads=None):
     """(MapResult, fresh pops) of the propagation that reads every pop's list.
 
     The loop as it stood before clean pops were skipped: it counts each
-    pop and tests for a clock read at each.  reads, when given, collects
-    the number of each pop the clock is read before.  A fresh pop is one
-    whose state has risen since its previous pop, or is popped first.
+    pop and tests for a clock read at each.  A fresh pop is one whose
+    state has risen since its previous pop, or is popped first.  reads,
+    when given, collects for each clock read the fresh pops before it.
     """
     amask = aut.accept_mask
     edges = aut.edges
@@ -173,7 +171,7 @@ def _reference_map_pass(aut, reads=None):
     for u in queue:
         pops += 1
         if not pops & 1023 and reads is not None:
-            reads.append(pops)
+            reads.append(fresh)
         fresh += last.get(u) != table[u]
         last[u] = table[u]
         val = u + 1 if amask[u] and u + 1 > table[u] else table[u]
@@ -228,21 +226,42 @@ def test_propagation_matches_the_pop_by_pop_loop_on_sparse_reach():
     assert any(found) and not all(found)
 
 
-def _clock_pops(monkeypatch):
-    """The numbers of the pops map_pass reads the clock before, as a list it fills.
+def _clock_reads(monkeypatch, a):
+    """(MapResult, reads) of map_pass on a, with a successor list read counter.
 
-    The propagation holds no pop counter: the running count is the reach
-    plus the entries its queue iterator has handed out.
+    reads holds, for each clock read of the propagation, the successor
+    lists the propagation read before it.
     """
-    pops = []
+    edges = ReadCounted(a.edges)
+    seen = []
+    monkeypatch.setattr(cyclone.owcty_map, "check_deadline", lambda deadline: seen.append(edges.reads))
+    mr = map_pass(BuchiAutomaton(a.num_states, a.init, a.accepting, edges))
+    walk = seen.pop(0)  # the read after the reach walk
+    return mr, [r - walk for r in seen]
 
-    def recording(deadline):
-        f = sys._getframe(1).f_locals
-        if "it" in f:  # not the read after the reach walk
-            pops.append(len(f["reach"]) + len(f["queue"]) - length_hint(f["it"]) + 1)
 
-    monkeypatch.setattr(cyclone.owcty_map, "check_deadline", recording)
-    return pops
+def _fan_out(m, pad):
+    # 0 -> accepting 1..m, each -> its own dead end m+1..2m, and pad more
+    # dead ends from 0: every one of the 2m pops is fresh and reads a list
+    edges = [list(range(1, m + 1)) + list(range(2 * m + 1, 2 * m + 1 + pad))]
+    edges += [[m + s] for s in range(1, m + 1)] + [[] for _ in range(m + pad)]
+    return BuchiAutomaton(2 * m + 1 + pad, 0, frozenset(range(1, m + 1)), edges)
+
+
+@pytest.mark.parametrize("m, pad, want", [
+    (511, 0, [0]),  # reach 1,023: read before the first pop
+    (511, 1, []),  # reach 1,024: 1,022 pops, all before pop 2,048
+    (511, 2, []),  # the last pop is 2,047: no read with no pop after it
+    (511, 3, [1021]),  # the last pop is 2,048
+    (1500, 0, [70, 1094, 2118]),  # pops 3,002 to 6,001
+])
+def test_the_clock_is_read_before_every_1024th_pop(monkeypatch, m, pad, want):
+    mr, got = _clock_reads(monkeypatch, _fan_out(m, pad))
+    reach = len(mr.reach)
+    assert (reach, mr.pops - reach, mr.lasso) == (2 * m + 1 + pad, 2 * m, None)
+    # one list per pop: the lists read before a read number the pops
+    assert want == [p - 1 - reach for p in range(reach + 1, mr.pops + 1) if not p % 1024]
+    assert got == want
 
 
 @pytest.mark.parametrize("name", _BIG_INPUTS)
@@ -250,21 +269,10 @@ def test_large_propagations_match_the_pop_by_pop_loop_and_its_clock(monkeypatch,
     a = _BIG_INPUTS[name]
     want = []
     mr, _ = _reference_map_pass(a, want)
-    got = _clock_pops(monkeypatch)
     _same_pass(a)
+    _, got = _clock_reads(monkeypatch, a)
     assert got == want
     assert len(got) == mr.pops // 1024 - len(mr.reach) // 1024
-
-
-def test_the_clock_reads_cover_the_slice_edges(monkeypatch):
-    # reach 1,023: the first pop is number 1,024, so the clock is read
-    # before any pop; reach 1,024: the first 1,023 pops go unread
-    got = _clock_pops(monkeypatch)
-    assert map_pass(_accepting_chain(1023)).pops == 3068
-    assert got == [1024, 2048]
-    got.clear()
-    assert map_pass(_accepting_chain(1024)).pops == 3071
-    assert got == [2048]
 
 
 def test_the_propagation_reads_one_list_per_fresh_pop():
