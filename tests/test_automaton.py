@@ -168,6 +168,12 @@ def test_the_accept_mask_is_derived_not_passed():
     assert BuchiAutomaton(2, 0, frozenset({1}), [[1], []]).accept_mask == bytearray(b"\x00\x01")
 
 
+def test_repr_shows_the_constructor_arguments():
+    a = BuchiAutomaton(2, 0, frozenset({1}), [[1], [0]])
+    assert repr(a) == "BuchiAutomaton(num_states=2, init=0, accepting=frozenset({1}), edges=[[1], [0]])"
+    assert eval(repr(a), {"BuchiAutomaton": BuchiAutomaton}) == a
+
+
 def _parsed_like_constructed(a):
     # both parser paths build through BuchiAutomaton._trusted, which skips
     # the constructor's checks but must give the same automaton and mask;
@@ -390,6 +396,25 @@ def test_chunk_boundaries_keep_the_parse(text, chars):
         assert _parse_lines(text) == expected
         if text.startswith("states 3\ninit") and "\n\t" not in text:
             assert _parse_bulk(text) == expected
+
+
+def _int_objects(a):
+    return {id(t) for succ in a.edges for t in succ} | {id(x) for x in a.accepting}
+
+
+@pytest.mark.parametrize("chars", [1 << 14, 1])
+def test_a_parsed_automaton_holds_one_int_object_per_state_id(chars):
+    # ids past 256, which CPython does not share already; the leading
+    # comment sends the text through the line path, and chunks of one
+    # line give the bulk path single-line chunks
+    a = gen_random(2000, 3.0, 0.3, 5)
+    text = a.to_text()
+    with _chunks_of(chars):
+        plain, commented = _parse_bulk(text), parse_automaton("# comment\n" + text)
+    assert plain == commented == a
+    assert max(max(succ, default=0) for succ in a.edges) > 256 and max(a.accepting) > 256
+    for b in (plain, commented):
+        assert len(_int_objects(b)) <= b.num_states
 
 
 # --- successor permutations ---------------------------------------------

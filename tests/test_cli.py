@@ -310,6 +310,20 @@ def test_overlong_id_exits_one_with_its_line(tmp_path, capsys):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+def test_check_ends_a_line_at_a_lone_cr_where_the_parser_rejects_it(tmp_path, capsys):
+    # check reads files with universal newlines, so the lone CR after
+    # line 4 ends it there; parse_automaton, given the same bytes as a
+    # str, rejects it at that line (README, Inputs)
+    data = b"states 2\r\ninit 0\r\naccepting 1\r\ntrans 0 1\rtrans 1 0\r\n"
+    path = tmp_path / "lone-cr.aut"
+    path.write_bytes(data)
+    assert cli.main(["check", str(path), "--oracle"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "CYCLE"
+    with pytest.raises(cyclone.MalformedHeader) as ei:
+        cyclone.parse_automaton(data.decode("ascii"))
+    assert ei.value.line == 4 and "'\\r' in a line" in str(ei.value)
+
+
 _ENTRY = "from cyclone.cli import entry; entry()"
 
 
