@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import re
-from operator import itemgetter
 
 _M64 = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
@@ -63,13 +62,14 @@ class BuchiAutomaton:
     The constructor checks every id, every successor list for duplicates,
     and that edges has one list per state, raising ValueError otherwise.
     parse_automaton builds its result through _trusted instead, which
-    skips these checks, made by the parser with their lines, adopts the
-    parser's successor lists, and allocates only the table of one list
-    per state, after the parser's last check.  A parsed automaton holds
-    one int object per state id: the successor lists and accepting
-    refer to it, not to an int per token.  Two automata are equal when
-    their num_states, init, accepting and edges are; an automaton is
-    mutable and unhashable.
+    skips these checks, made by the parser with their lines, and adopts
+    the parser's table of successor lists, adding the lists of the
+    states past its end after the parser's last check.  A parsed
+    automaton holds one int object per state id, unless its text has an
+    id past its own length: the successor lists and accepting refer to
+    it, not to an int per token.  Two automata are equal when their
+    num_states, init, accepting and edges are; an automaton is mutable
+    and unhashable.
     """
 
     __slots__ = ("num_states", "init", "accepting", "edges", "accept_mask")
@@ -100,18 +100,19 @@ class BuchiAutomaton:
         self.accept_mask = mask
 
     @classmethod
-    def _trusted(cls, num_states: int, init: int, accepting: frozenset[int], succs: dict[int, list[int]]):
+    def _trusted(cls, num_states: int, init: int, accepting: frozenset[int], succs: list[list[int]]):
         """The automaton whose state s has the successors succs[s], none if s is
-        not a key, checked as the constructor checks.
+        past the end of succs, checked as the constructor checks.
 
-        It adopts the parser's lists.  The table of num_states lists is
-        allocated here, after the parser's last check, and nowhere else."""
-        get = succs.get
+        It adopts succs and its lists as the table of one list per state,
+        appending an empty list for every state past its end, after the
+        parser's last check."""
+        succs += [[] for _ in range(len(succs), num_states)]
         aut = cls.__new__(cls)
         aut.num_states = num_states
         aut.init = init
         aut.accepting = accepting
-        aut.edges = [get(s) or [] for s in range(num_states)]
+        aut.edges = succs
         aut.accept_mask = mask = bytearray(num_states)
         for a in accepting:
             mask[a] = 1
@@ -162,17 +163,21 @@ def parse_automaton(text: str) -> BuchiAutomaton:
     source as it converts them, and checks for duplicates in those
     lists.  Any text it does not accept, valid or not, is parsed again by
     the line path, the only one that reports an error and its line.  Both
-    paths hand their checked successor lists, keyed by source, to
-    BuchiAutomaton._trusted.  It adopts them and allocates the table of
-    one list per state, after every line is checked, without checking the
-    ids, ranges and duplicates again.
+    paths hand their checked successor lists, indexed by source, to
+    BuchiAutomaton._trusted.  It adopts them as the table of one list per
+    state without checking the ids, ranges and duplicates again.
 
-    Both paths map every checked id through one list ids, where ids[i]
-    is i, grown only as far as the largest id read, so the edges and the
-    accepting set share one int object per state id.  On a 6,000-state
-    file that keeps a quarter less memory than an int per token and
-    parses about 6 % slower; at 300,000 states the parse is about 28 %
-    slower, as each edge then writes the refcount of a scattered int.
+    Both paths grow two lists only as far as the largest id read, and
+    never past the text's length, whatever its states header says: ids,
+    where ids[i] is i, and succs, where succs[s] collects the successors
+    of s.  Targets and accepting ids are mapped through ids, so the edges
+    and the accepting set share one int object per state id, not one per
+    token.  The lists of states past the largest id read come after every
+    line is checked.  The bulk path leaves a text with an id past its
+    length, which only a sparse text has, to the line path, where such an
+    edge keeps its own ints.  On a 6,000-state file the automaton keeps
+    a quarter less memory than with an int per token, and succs costs a
+    pointer per state where a dict keyed by source costs about six.
     """
     if text.isascii() and "#" not in text and not any(c in text for c in _ODD_ASCII_SPACE):
         aut = _parse_bulk(text)
@@ -197,20 +202,24 @@ def _parse_bulk(text: str) -> BuchiAutomaton | None:
     if (len(h_states) != 2 or h_states[0] != "states" or len(h_init) != 2 or h_init[0] != "init"
             or not h_acc or h_acc[0] != "accepting"):
         return None
-    ids = [h_states[1], h_init[1], *h_acc[1:]]
     # int() takes an ASCII token with no sign and no underscore if and
     # only if it is all digits 0-9, and not past the interpreter's limit
     if any(c in text for c in "+-_"):
         return None
     try:
-        n, init, *accepting = map(int, ids)
+        n, init, *accepting = map(int, [h_states[1], h_init[1], *h_acc[1:]])
     except ValueError:
         return None
-    if not (0 <= init < n) or (accepting and max(accepting) >= n):
+    del h_acc  # a str per accepting id, not needed while the edges are read
+    # an id at or past cap is out of range, or past the text's length,
+    # which only a sparse text reaches: the line path takes both
+    cap = min(n, len(text))
+    if not (0 <= init < n) or (accepting and max(accepting) >= cap):
         return None
-    ids: list[int] = []  # the one int object of each state id read so far
-    succs: dict[int, list[int]] = {}
-    add = succs.setdefault
+    ids: list[int] = []
+    succs: list[list[int]] = []
+    _grow(ids, succs, max(accepting, default=-1))
+    accepting = frozenset(map(ids.__getitem__, accepting))
     pos = k + 1
     while pos < len(text):
         end = text.find("\n", pos + _CHUNK_CHARS - 1) + 1 or len(text)
@@ -231,32 +240,25 @@ def _parse_bulk(text: str) -> BuchiAutomaton | None:
         except ValueError:
             return None
         top = max(max(srcs), max(dsts))
-        if top >= n:
+        if top >= cap:
             return None
-        _grow(ids, top)
-        if lines > 1:
-            srcs, dsts = itemgetter(*srcs)(ids), itemgetter(*dsts)(ids)
-        else:  # itemgetter of one index gives the bare item
-            srcs, dsts = [ids[srcs[0]]], [ids[dsts[0]]]
+        _grow(ids, succs, top)
         for s, t in zip(srcs, dsts):
-            add(s, []).append(t)
-    for succ in succs.values():
+            succs[s].append(ids[t])
+    for succ in succs:
         if len(succ) > 1 and len(set(succ)) != len(succ):
             return None
-    return BuchiAutomaton._trusted(n, init, _shared_set(ids, accepting), succs)
+    return BuchiAutomaton._trusted(n, init, accepting, succs)
 
 
-def _grow(ids: list[int], top: int) -> None:
-    """Extend ids, where ids[i] is i, to hold every id up to top."""
+def _grow(ids: list[int], succs: list[list[int]], top: int) -> None:
+    """Extend ids, where ids[i] is i, and succs, by an empty list a state, to hold every id up to top.
+
+    ids holds the one int object of each state id read so far, and succs
+    its successor list; both grow only as far as the largest id read."""
     if top >= len(ids):
-        ids.extend(range(len(ids), top + 1))
-
-
-def _shared_set(ids: list[int], xs) -> frozenset[int]:
-    """The ids xs as a frozenset of ids's objects, growing ids to hold them."""
-    if xs:
-        _grow(ids, max(xs))
-    return frozenset(map(ids.__getitem__, xs))
+        succs += [[] for _ in range(len(ids), top + 1)]
+        ids += range(len(ids), top + 1)
 
 
 def _quote(s: str) -> str:
@@ -323,9 +325,12 @@ def _parse_lines(text: str) -> BuchiAutomaton:
             raise DanglingStateId(no, f"accepting state {a} >= states {n}")
         accepting.add(a)
 
-    # every edge once, in file order, over one int object per id; the
-    # table of lists comes after the last check
+    # every edge once, in file order, over one int object per id; ids
+    # and succs grow as in the bulk path, as far as the text's length, and
+    # an edge with an id past it keeps its own ints
+    cap = len(text)
     ids: list[int] = []
+    succs: list[list[int]] = []
     seen: dict[tuple[int, int], None] = {}
     for no, toks in rows[3:]:
         if toks[0] != "trans" or len(toks) != 3:
@@ -338,12 +343,16 @@ def _parse_lines(text: str) -> BuchiAutomaton:
             raise DanglingStateId(no, f"target state {t} >= states {n}")
         if (s, t) in seen:
             raise DuplicateEdge(no, f"edge {s} -> {t} declared twice")
-        _grow(ids, s if s > t else t)
-        seen[ids[s], ids[t]] = None
-    succs: dict[int, list[int]] = {}
+        if (top := s if s > t else t) < cap:
+            _grow(ids, succs, top)
+            s, t = ids[s], ids[t]
+        seen[s, t] = None
+    # every line is checked: the table may now hold every state
+    _grow(ids, succs, max(accepting, default=-1))
+    succs += [[] for _ in range(len(succs), n)]
     for s, t in seen:
-        succs.setdefault(s, []).append(t)
-    return BuchiAutomaton._trusted(n, init, _shared_set(ids, accepting), succs)
+        succs[s].append(t)
+    return BuchiAutomaton._trusted(n, init, frozenset(map(ids.__getitem__, accepting)), succs)
 
 
 # ---------------------------------------------------------------------------
