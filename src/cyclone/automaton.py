@@ -62,14 +62,14 @@ class BuchiAutomaton:
     The constructor checks every id, every successor list for duplicates,
     and that edges has one list per state, raising ValueError otherwise.
     parse_automaton builds its result through _trusted instead, which
-    skips these checks, made by the parser with their lines, and adopts
-    the parser's table of successor lists, adding the lists of the
-    states past its end after the parser's last check.  A parsed
-    automaton holds one int object per state id, unless its text has an
-    id past its own length: the successor lists and accepting refer to
-    it, not to an int per token.  Two automata are equal when their
-    num_states, init, accepting and edges are; an automaton is mutable
-    and unhashable.
+    skips these checks, made by the parser with their lines, copies the
+    parser's successor lists to their exact length, and allocates the
+    table of one list per state, after the parser's last check.  A
+    parsed automaton holds
+    one int object per state id: its successor lists and accepting set
+    refer to it, not to an int per token.  Two automata are equal when
+    their num_states, init, accepting and edges are; an automaton is
+    mutable and unhashable.
     """
 
     __slots__ = ("num_states", "init", "accepting", "edges", "accept_mask")
@@ -100,19 +100,20 @@ class BuchiAutomaton:
         self.accept_mask = mask
 
     @classmethod
-    def _trusted(cls, num_states: int, init: int, accepting: frozenset[int], succs: list[list[int]]):
-        """The automaton whose state s has the successors succs[s], none if s is
-        past the end of succs, checked as the constructor checks.
+    def _trusted(cls, num_states: int, init: int, accepting: frozenset[int], table: dict[int, list[int]]):
+        """The automaton whose state s has the successors table[s][1:], none if s
+        is not a key, checked as the constructor checks.
 
-        It adopts succs and its lists as the table of one list per state,
-        appending an empty list for every state past its end, after the
-        parser's last check."""
-        succs += [[] for _ in range(len(succs), num_states)]
+        table is _group's: table[s][0] is the int object of id s.  Each
+        list is copied without that item, to its exact length, as it leaves
+        table.  The table of num_states lists is allocated here, after the
+        parser's last check, and nowhere else."""
+        pop = table.pop
         aut = cls.__new__(cls)
         aut.num_states = num_states
         aut.init = init
         aut.accepting = accepting
-        aut.edges = succs
+        aut.edges = [succ[1:] if (succ := pop(s, None)) else [] for s in range(num_states)]
         aut.accept_mask = mask = bytearray(num_states)
         for a in accepting:
             mask[a] = 1
@@ -163,21 +164,17 @@ def parse_automaton(text: str) -> BuchiAutomaton:
     source as it converts them, and checks for duplicates in those
     lists.  Any text it does not accept, valid or not, is parsed again by
     the line path, the only one that reports an error and its line.  Both
-    paths hand their checked successor lists, indexed by source, to
-    BuchiAutomaton._trusted.  It adopts them as the table of one list per
-    state without checking the ids, ranges and duplicates again.
+    paths hand their checked successor lists, keyed by source, to
+    BuchiAutomaton._trusted.  It copies them into the table of one list
+    per state, after every line is checked, without checking the ids,
+    ranges and duplicates again.
 
-    Both paths grow two lists only as far as the largest id read, and
-    never past the text's length, whatever its states header says: ids,
-    where ids[i] is i, and succs, where succs[s] collects the successors
-    of s.  Targets and accepting ids are mapped through ids, so the edges
-    and the accepting set share one int object per state id, not one per
-    token.  The lists of states past the largest id read come after every
-    line is checked.  The bulk path leaves a text with an id past its
-    length, which only a sparse text has, to the line path, where such an
-    edge keeps its own ints.  On a 6,000-state file the automaton keeps
-    a quarter less memory than with an int per token, and succs costs a
-    pointer per state where a dict keyed by source costs about six.
+    Both paths group the edges in one dict keyed by id (_table, _group).
+    The first int object read of an id, an accepting one first, is the
+    one every edge to that id refers to, so the automaton holds one int
+    object per state id, not one per token.  What the paths allocate
+    before the last check grows with the ids read, never with their
+    values or the states header.
     """
     if text.isascii() and "#" not in text and not any(c in text for c in _ODD_ASCII_SPACE):
         aut = _parse_bulk(text)
@@ -211,15 +208,10 @@ def _parse_bulk(text: str) -> BuchiAutomaton | None:
     except ValueError:
         return None
     del h_acc  # a str per accepting id, not needed while the edges are read
-    # an id at or past cap is out of range, or past the text's length,
-    # which only a sparse text reaches: the line path takes both
-    cap = min(n, len(text))
-    if not (0 <= init < n) or (accepting and max(accepting) >= cap):
+    if not (0 <= init < n) or (accepting and max(accepting) >= n):
         return None
-    ids: list[int] = []
-    succs: list[list[int]] = []
-    _grow(ids, succs, max(accepting, default=-1))
-    accepting = frozenset(map(ids.__getitem__, accepting))
+    accepting = frozenset(accepting)
+    table = _table(accepting)
     pos = k + 1
     while pos < len(text):
         end = text.find("\n", pos + _CHUNK_CHARS - 1) + 1 or len(text)
@@ -239,26 +231,47 @@ def _parse_bulk(text: str) -> BuchiAutomaton | None:
             dsts = list(map(int, dsts))
         except ValueError:
             return None
-        top = max(max(srcs), max(dsts))
-        if top >= cap:
+        if max(srcs) >= n or max(dsts) >= n:
             return None
-        _grow(ids, succs, top)
-        for s, t in zip(srcs, dsts):
-            succs[s].append(ids[t])
-    for succ in succs:
-        if len(succ) > 1 and len(set(succ)) != len(succ):
+        _group(table, zip(srcs, dsts))
+    for succ in table.values():
+        # succ[0] is the id itself, not a successor
+        if len(succ) > 2 and len(set(succ[1:])) != len(succ) - 1:
             return None
-    return BuchiAutomaton._trusted(n, init, accepting, succs)
+    return BuchiAutomaton._trusted(n, init, accepting, table)
 
 
-def _grow(ids: list[int], succs: list[list[int]], top: int) -> None:
-    """Extend ids, where ids[i] is i, and succs, by an empty list a state, to hold every id up to top.
+def _table(accepting: frozenset[int]) -> dict[int, list[int]]:
+    """The table _group starts from: a list per accepting id, holding only the id.
 
-    ids holds the one int object of each state id read so far, and succs
-    its successor list; both grow only as far as the largest id read."""
-    if top >= len(ids):
-        succs += [[] for _ in range(len(ids), top + 1)]
-        ids += range(len(ids), top + 1)
+    A list gets its id by append, which leaves room for three successors;
+    [a] would leave none, and its first append would size it for seven."""
+    table: dict[int, list[int]] = {}
+    for a in accepting:
+        table[a] = x = []
+        x.append(a)
+    return table
+
+
+def _group(table: dict[int, list[int]], edges) -> None:
+    """Append the target of each edge (s, t) to table[s], where table[i] is [i, successors of i...].
+
+    table[i][0] is the first int object of id i to enter table, and a
+    target goes in as that object, so the lists, and the accepting set
+    _table started them from, share one int object per id.  table grows
+    with the ids read, never with their values.  A new list gets its id
+    by append, as in _table."""
+    get = table.get
+    for s, t in edges:
+        x = get(t)
+        if x is None:
+            x = table[t] = []
+            x.append(t)
+        y = get(s)
+        if y is None:
+            y = table[s] = []
+            y.append(s)
+        y.append(x[0])
 
 
 def _quote(s: str) -> str:
@@ -325,12 +338,8 @@ def _parse_lines(text: str) -> BuchiAutomaton:
             raise DanglingStateId(no, f"accepting state {a} >= states {n}")
         accepting.add(a)
 
-    # every edge once, in file order, over one int object per id; ids
-    # and succs grow as in the bulk path, as far as the text's length, and
-    # an edge with an id past it keeps its own ints
-    cap = len(text)
-    ids: list[int] = []
-    succs: list[list[int]] = []
+    # every edge once, in file order; the table of lists comes after the
+    # last check
     seen: dict[tuple[int, int], None] = {}
     for no, toks in rows[3:]:
         if toks[0] != "trans" or len(toks) != 3:
@@ -343,16 +352,11 @@ def _parse_lines(text: str) -> BuchiAutomaton:
             raise DanglingStateId(no, f"target state {t} >= states {n}")
         if (s, t) in seen:
             raise DuplicateEdge(no, f"edge {s} -> {t} declared twice")
-        if (top := s if s > t else t) < cap:
-            _grow(ids, succs, top)
-            s, t = ids[s], ids[t]
         seen[s, t] = None
-    # every line is checked: the table may now hold every state
-    _grow(ids, succs, max(accepting, default=-1))
-    succs += [[] for _ in range(len(succs), n)]
-    for s, t in seen:
-        succs[s].append(t)
-    return BuchiAutomaton._trusted(n, init, frozenset(map(ids.__getitem__, accepting)), succs)
+    accepting = frozenset(accepting)
+    table = _table(accepting)
+    _group(table, seen)
+    return BuchiAutomaton._trusted(n, init, accepting, table)
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from cyclone import DuplicateEdge, MalformedHeader, parse_automaton
 tracemalloc.start()
 try:
-    parse_automaton(sys.argv[1])
+    parse_automaton(sys.stdin.read())
 except (DuplicateEdge, MalformedHeader) as e:
     print(type(e).__name__, e.line, tracemalloc.get_traced_memory()[1])
 """
@@ -294,7 +294,7 @@ except (DuplicateEdge, MalformedHeader) as e:
 def _huge_header_probe(text):
     """(error type name, line, tracemalloc peak) of parsing text in a child under a 1 GiB address space."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", _HUGE_HEADER_PROBE, text],
+    proc = subprocess.run([sys.executable, "-c", _HUGE_HEADER_PROBE], input=text,
                           env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     name, line, peak = proc.stdout.split()
@@ -326,31 +326,55 @@ def test_a_duplicate_edge_raises_before_the_successor_lists_exist():
     ids=["large-target", "large-accepting", "large-source"],
 )
 def test_a_large_id_raises_before_its_int_objects_exist(text, error):
-    # the parser shares one int object per id up to the largest id read,
-    # but never past the text's length, so one large id in range is no
-    # licence to allocate before the lines after it are checked
+    # the parser shares one int object per id among the ids it has read,
+    # so one large id in range is no licence to allocate before the lines
+    # after it are checked
     name, line, peak = _huge_header_probe(text)
     assert (name, line) == error
     assert peak < 1_000_000
 
 
-def test_a_sparse_text_keeps_its_own_ints_past_its_length():
-    # ids past the text's length are not shared: the bulk path leaves the
-    # text to the line path, which keeps such an edge's own ints
+_PAD = 10_000_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "states 1000000000000\ninit 0\naccepting\ntrans 0 9999999\ntrans 0 x\n# " + "c" * _PAD + "\n",
+        "states 1000000000000\ninit 0\naccepting\ntrans 0 9999999" + " " * _PAD + "\ntrans 0 x\n",
+    ],
+    ids=["line-path-comment", "bulk-path-spaces"],
+)
+def test_a_long_text_is_no_licence_to_allocate_per_id(text):
+    # a large id in range, then a bad line, in a text made long at no
+    # cost: by a comment, which sends it to the line path, or by trailing
+    # spaces, which the bulk path reads in one chunk before the bad line
+    # sends the text on.  Both paths copy a line or a chunk of the text,
+    # but allocate nothing for the ids they have not read.
+    name, line, peak = _huge_header_probe(text)
+    assert (name, line) == ("MalformedHeader", 5)
+    assert peak < 4 * _PAD
+
+
+def test_a_sparse_text_parses_the_same_on_both_paths():
+    # ids far past the text's length: the bulk path takes the text, and
+    # both paths share one int object per id
     text = "states 100000\ninit 0\naccepting 99999 7\ntrans 0 99999\ntrans 99999 7\ntrans 7 0\n"
     edges = [[] for _ in range(100_000)]
     edges[0], edges[7], edges[99_999] = [99_999], [0], [7]
     expected = BuchiAutomaton(100_000, 0, frozenset({7, 99_999}), edges)
-    assert _parse_bulk(text) is None
-    assert parse_automaton(text) == _parse_lines(text) == expected
+    bulk, lines = _parse_bulk(text), _parse_lines(text)
+    assert bulk == lines == expected
+    for a in (bulk, lines):
+        assert len(_int_objects(a)) == 3
 
 
 def test_the_bulk_parse_peaks_within_twice_the_automaton():
     # a layered graph of the benchmark's size: 6,000 states, about 15,000
     # edges.  Whole-text tokens and a set of edge keys made the peak 2.9
     # times what the automaton keeps; chunks and lists grouped by source
-    # made it 1.6 times, and a table of lists indexed by source, with one
-    # int object per id, makes it 1.4 times.
+    # made it 1.6 times.  One int object per id shrinks what it keeps by a
+    # third and the peak by a quarter, which makes it 1.8 times.
     text = layered(0, False, 24, 250).to_text()
     tracemalloc.start()
     try:
