@@ -64,12 +64,11 @@ class BuchiAutomaton:
     parse_automaton builds its result through _trusted instead, which
     skips these checks, made by the parser with their lines, copies the
     parser's successor lists to their exact length, and allocates the
-    table of one list per state, after the parser's last check.  A
-    parsed automaton holds
-    one int object per state id: its successor lists and accepting set
-    refer to it, not to an int per token.  Two automata are equal when
-    their num_states, init, accepting and edges are; an automaton is
-    mutable and unhashable.
+    table of one list per state, after the parser's last check.  A parsed
+    automaton holds one int object per state id: its successor lists and
+    accepting set refer to it, not to an int per token.  Two automata are
+    equal when their num_states, init, accepting and edges are; an
+    automaton is mutable and unhashable.
     """
 
     __slots__ = ("num_states", "init", "accepting", "edges", "accept_mask")
@@ -188,7 +187,7 @@ def _parse_bulk(text: str) -> BuchiAutomaton | None:
 
     The caller has checked that text is ASCII and holds no '#' and no
     whitespace but spaces, tabs and LF.  A duplicate edge is a repeat in
-    one of the lists grouped by source, which the automaton adopts.
+    one of the lists grouped by source, which the automaton copies.
     """
     i = text.find("\n")
     j = text.find("\n", i + 1)  # -1 when i is: there is no LF at all

@@ -315,6 +315,9 @@ def test_a_duplicate_edge_raises_before_the_successor_lists_exist():
     assert peak < 1_000_000
 
 
+_PAD = 10_000_000
+
+
 @pytest.mark.parametrize(
     "text,error",
     [
@@ -322,38 +325,23 @@ def test_a_duplicate_edge_raises_before_the_successor_lists_exist():
         ("states 1000000000000\ninit 0\naccepting 999999999\ntrans 0 x\n", ("MalformedHeader", 4)),
         ("states 1000000000000\ninit 0\naccepting\ntrans 999999999 0\ntrans 999999999 0\n",
          ("DuplicateEdge", 5)),
+        ("states 1000000000000\ninit 0\naccepting\ntrans 0 9999999\ntrans 0 x\n# " + "c" * _PAD + "\n",
+         ("MalformedHeader", 5)),
+        ("states 1000000000000\ninit 0\naccepting\ntrans 0 9999999" + " " * _PAD + "\ntrans 0 x\n",
+         ("MalformedHeader", 5)),
     ],
-    ids=["large-target", "large-accepting", "large-source"],
+    ids=["large-target", "large-accepting", "large-source", "padded-by-a-comment", "padded-by-spaces"],
 )
 def test_a_large_id_raises_before_its_int_objects_exist(text, error):
     # the parser shares one int object per id among the ids it has read,
     # so one large id in range is no licence to allocate before the lines
-    # after it are checked
+    # after it are checked, however long the text is made at no cost: by
+    # a comment, which sends it to the line path, or by trailing spaces,
+    # which the bulk path reads in one chunk before the bad line sends the
+    # text on.  Either path may copy a line or a chunk a few times.
     name, line, peak = _huge_header_probe(text)
     assert (name, line) == error
-    assert peak < 1_000_000
-
-
-_PAD = 10_000_000
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "states 1000000000000\ninit 0\naccepting\ntrans 0 9999999\ntrans 0 x\n# " + "c" * _PAD + "\n",
-        "states 1000000000000\ninit 0\naccepting\ntrans 0 9999999" + " " * _PAD + "\ntrans 0 x\n",
-    ],
-    ids=["line-path-comment", "bulk-path-spaces"],
-)
-def test_a_long_text_is_no_licence_to_allocate_per_id(text):
-    # a large id in range, then a bad line, in a text made long at no
-    # cost: by a comment, which sends it to the line path, or by trailing
-    # spaces, which the bulk path reads in one chunk before the bad line
-    # sends the text on.  Both paths copy a line or a chunk of the text,
-    # but allocate nothing for the ids they have not read.
-    name, line, peak = _huge_header_probe(text)
-    assert (name, line) == ("MalformedHeader", 5)
-    assert peak < 4 * _PAD
+    assert peak < 1_000_000 + 4 * len(text)
 
 
 def test_a_sparse_text_parses_the_same_on_both_paths():
